@@ -14,7 +14,6 @@ from mdlab.graph import (
     VertexMap,
     common_neighbors,
     components,
-    contract_edge_set,
     delete_edges,
     delete_vertex,
     from_graph6,
@@ -24,8 +23,6 @@ from mdlab.graph import (
     max_degree,
     min_degree,
     odd_girth,
-    split_off,
-    subdivide_edge,
     to_dot,
     to_graph6,
 )
@@ -37,7 +34,6 @@ __all__ = [
     "VertexMap",
     "common_neighbors",
     "components",
-    "contract_edge_set",
     "delete_edges",
     "delete_vertex",
     "from_graph6",
@@ -47,8 +43,6 @@ __all__ = [
     "max_degree",
     "min_degree",
     "odd_girth",
-    "split_off",
-    "subdivide_edge",
     "to_dot",
     "to_graph6",
 ]

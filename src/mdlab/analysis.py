@@ -1,12 +1,9 @@
-"""Structural analyses feeding the md bounds: blocks, edge-equivalence classes,
-matching cuts, and degree-two layer reductions.
+"""Structural analyses feeding the md solver: blocks, matching cuts, and
+degree-two layer reductions, plus the edge bound for a given block count.
 
-The edge relation at the heart of this module links two edges when a chain of
-triangles and K_{2,3} subgraphs, consecutive ones sharing an edge, connects
-them.  Every class of that relation is monochromatic under any edge coloring
-in which all vertex pairs can be separated by removing one color class, so a
-graph whose whole edge set forms a single gadget-covered class only admits the
-one-color such coloring.
+md adds over blocks, so the solver works block by block; a matching cut gives
+a two-color separating coloring; and soft_layer_reduce yields the smaller
+graph whose md the solver's soft-layer rule uses as an upper bound.
 """
 
 from __future__ import annotations
@@ -125,131 +122,9 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     )
 
 
-def cut_vertices(g: Graph) -> tuple[int, ...]:
-    return block_decomposition(g).cut_vertices
-
-
 def is_two_connected(g: Graph) -> bool:
     """Connected, at least 3 vertices, and no cut vertex."""
     return g.n >= 3 and is_connected(g) and not block_decomposition(g).cut_vertices
-
-
-# ---------------------------------------------------------------------------
-# Gadget equivalence classes
-
-
-@dataclass(frozen=True)
-class ThetaPartition:
-    """Partition of the edge set into gadget-chain equivalence classes.
-
-    classes holds edge tuples, each class sorted, classes ordered by first
-    edge.  gadget_count is diagnostic: triangles plus vertex pairs with three
-    or more common neighbors (each such pair witnesses a K_{2,3} bundle).
-    """
-
-    classes: tuple[tuple[tuple[int, int], ...], ...]
-    gadget_count: int
-
-
-class _EdgeUnion:
-    def __init__(self, g: Graph):
-        self.g = g
-        self.parent = list(range(g.m))
-        self.covered = [False] * g.m
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union_edges(self, edges: list[tuple[int, int]]) -> None:
-        idx = self.g.edge_index
-        first = idx[edges[0]]
-        self.covered[first] = True
-        r0 = self.find(first)
-        for e in edges[1:]:
-            i = idx[e]
-            self.covered[i] = True
-            r = self.find(i)
-            if r != r0:
-                self.parent[r] = r0
-
-    def classes(self) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for i in range(self.g.m):
-            groups.setdefault(self.find(i), []).append(i)
-        return sorted(groups.values())
-
-
-def _gadget_union(g: Graph) -> tuple[_EdgeUnion, int]:
-    """Union triangle edges and K_{2,3} bundles; report the gadget count."""
-    uf = _EdgeUnion(g)
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    triangles = 0
-    for u, v in g.edges:
-        common = masks[u] & masks[v]
-        w = common
-        while w:
-            wb = w & -w
-            x = wb.bit_length() - 1
-            w ^= wb
-            if x > v:
-                triangles += 1
-            uf.union_edges(
-                [
-                    (u, v),
-                    (min(u, x), max(u, x)),
-                    (min(v, x), max(v, x)),
-                ]
-            )
-    k23_pairs = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            common = masks[u] & masks[v]
-            if common.bit_count() < 3:
-                continue
-            k23_pairs += 1
-            # All K_{2,3} copies on (u, v) chain through shared 3-subsets, so
-            # unioning the whole double star gives the same classes.
-            bundle = []
-            w = common
-            while w:
-                wb = w & -w
-                x = wb.bit_length() - 1
-                w ^= wb
-                bundle.append((min(u, x), max(u, x)))
-                bundle.append((min(v, x), max(v, x)))
-            uf.union_edges(bundle)
-    return uf, triangles + k23_pairs
-
-
-def theta_classes(g: Graph) -> ThetaPartition:
-    """Edge classes under chains of triangle / K_{2,3} gadgets sharing edges."""
-    uf, gadgets = _gadget_union(g)
-    classes = tuple(
-        tuple(g.edges[i] for i in cls) for cls in uf.classes()
-    )
-    return ThetaPartition(classes=classes, gadget_count=gadgets)
-
-
-def is_closure(g: Graph) -> bool:
-    """True when the edge set is one class and every edge sits in a gadget.
-
-    A single-edge graph is not a closure: its edge lies in no triangle or
-    K_{2,3}, so nothing links it to itself.
-    """
-    if g.m < 1:
-        return False
-    uf, _ = _gadget_union(g)
-    if not all(uf.covered):
-        return False
-    root = uf.find(0)
-    return all(uf.find(i) == root for i in range(1, g.m))
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +197,18 @@ def find_matching_cuts(
     return sorted(found, key=lambda cut: (len(cut), cut))
 
 
-def has_matching_cut(g: Graph, max_n: int = 16) -> bool:
-    return bool(find_matching_cuts(g, minimal_only=True, max_n=max_n))
+# ---------------------------------------------------------------------------
+# Block-count edge bound
+
+
+def max_edges_with_r_blocks(n: int, r: int) -> int:
+    """Largest edge count of a connected n-vertex graph with exactly r blocks.
+
+    Attained by one clique block on n-r+1 vertices plus r-1 bridges.
+    """
+    if n < 2 or not 1 <= r <= n - 1:
+        raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
+    return math.comb(n - r + 1, 2) + r - 1
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +240,3 @@ def soft_layer_reduce(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         del to_orig[victim]
         current, _ = delete_vertex(current, victim)
     return current, tuple(removed)
-
-
-# ---------------------------------------------------------------------------
-# Block-count edge bound
-
-
-def max_edges_with_r_blocks(n: int, r: int) -> int:
-    """Largest edge count of a connected n-vertex graph with exactly r blocks.
-
-    Attained by one clique block on n-r+1 vertices plus r-1 bridges.
-    """
-    if n < 2 or not 1 <= r <= n - 1:
-        raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
-    return math.comb(n - r + 1, 2) + r - 1

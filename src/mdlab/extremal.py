@@ -25,6 +25,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+# md_exact is looked up on the module at each call, so a wrapper installed on
+# solver.md_exact sees every census solve.
+from mdlab import solver
 from mdlab.families import (
     clique_lollipop,
     cycle_graph,
@@ -32,7 +35,7 @@ from mdlab.families import (
     threshold_witness,
 )
 from mdlab.graph import Graph, from_graph6, graph, is_connected, to_graph6
-from mdlab.solver import SearchConfig, md_value
+from mdlab.solver import SearchConfig
 
 ENUMERATION_CAP = 8
 
@@ -165,8 +168,8 @@ def enumerate_connected(
 # md census over the enumeration
 
 
-def _md_of_graph6(g6: str) -> int:
-    return md_value(from_graph6(g6))
+def _md_of_graph6(g6: str, cfg: SearchConfig | None) -> int:
+    return solver.md_exact(from_graph6(g6), cfg).value
 
 
 _CENSUS_CACHE: dict[tuple[int, int | None], list[tuple[str, int, int]]] = {}
@@ -201,9 +204,11 @@ def md_census(
     g6s = [to_graph6(gg) for gg in pool]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            values = list(ex.map(_md_of_graph6, g6s, chunksize=32))
+            values = list(
+                ex.map(_md_of_graph6, g6s, [cfg] * len(g6s), chunksize=32)
+            )
     else:
-        values = [md_value(gg, cfg) for gg in pool]
+        values = [solver.md_exact(gg, cfg).value for gg in pool]
     rows = [(g6, gg.m, v) for g6, gg, v in zip(g6s, pool, values)]
     if graphs is None:
         _CENSUS_CACHE[key] = rows
@@ -287,7 +292,7 @@ def _verify(
             if (
                 expected.n == n
                 and expected.m == boundary
-                and sharp(md_value(expected, cfg))
+                and sharp(solver.md_exact(expected, cfg).value)
             ):
                 witness = to_graph6(expected)
             else:

@@ -21,7 +21,6 @@ The md-extremal families:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from mdlab.coloring import EdgeColoring
@@ -32,12 +31,6 @@ from mdlab.graph import Graph, graph
 class FamilyGraph:
     graph: Graph
     labels: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    params: tuple[int, ...]
 
 
 def _need(cond: bool, message: str) -> None:
@@ -301,40 +294,3 @@ def near_clique_lollipop(n: int, tail: int) -> FamilyGraph:
         edges.append((min(prev, nxt), max(prev, nxt)))
         prev = nxt
     return FamilyGraph(graph(n, edges), {"block_extra": b - 1})
-
-
-# ---------------------------------------------------------------------------
-# Registry used by the CLI
-
-
-FAMILIES: dict[str, tuple] = {
-    "path": (path_graph, 1, "path n  (n vertices)"),
-    "cycle": (cycle_graph, 1, "cycle n  (n >= 3)"),
-    "complete": (complete_graph, 1, "complete n"),
-    "complete-bipartite": (complete_bipartite, 2, "complete-bipartite a b"),
-    "complete-minus-edge": (complete_minus_edge, 1, "complete-minus-edge n  (n >= 3)"),
-    "star": (star, 1, "star n  (n leaves)"),
-    "fan": (fan, 1, "fan n  (path length n plus hub)"),
-    "subdivided-fan": (subdivided_fan, 1, "subdivided-fan n  (n >= 3)"),
-    "near-subdivided-fan": (near_subdivided_fan, 1, "near-subdivided-fan n  (n >= 4)"),
-    "sparsest-md-one": (sparsest_md_one, 1, "sparsest-md-one n"),
-    "threshold-witness": (threshold_witness, 2, "threshold-witness n r  (3 <= r <= n//2, n >= 6)"),
-    "matched-cliques": (matched_cliques, 1, "matched-cliques n  (even n >= 4)"),
-    "crown": (crown, 1, "crown n  (2n vertices)"),
-    "clique-lollipop": (clique_lollipop, 2, "clique-lollipop n tail"),
-    "near-clique-lollipop": (near_clique_lollipop, 2, "near-clique-lollipop n tail"),
-}
-
-
-def build(spec: FamilySpec) -> FamilyGraph:
-    """Build a family member from its spec; unknown names and arity errors raise."""
-    name = spec.name.replace("_", "-")
-    if name not in FAMILIES:
-        known = ", ".join(sorted(FAMILIES))
-        raise ValueError(f"unknown family {spec.name!r}; known: {known}")
-    builder, arity, usage = FAMILIES[name]
-    if len(spec.params) != arity:
-        raise ValueError(
-            f"family {name} takes {arity} parameter(s): {usage}"
-        )
-    return builder(*spec.params)

@@ -1,4 +1,4 @@
-"""Immutable simple undirected graphs and the structural transforms used everywhere else.
+"""Immutable simple undirected graphs and the queries used everywhere else.
 
 Vertices are the integers 0..n-1.  Edges are stored as a lexicographically
 sorted tuple of pairs (u, v) with u < v, so two graphs are equal iff they have
@@ -6,8 +6,8 @@ the same vertex count and the same edge tuple (canonical form).  All operations
 are pure functions returning fresh Graph values; instances are safe to share
 between workers.
 
-Transforms that relabel vertices (deletion, contraction) relabel survivors
-order-preservingly and return the old-id -> new-id mapping alongside the graph.
+Vertex deletion relabels survivors order-preservingly and returns the
+old-id -> new-id mapping alongside the graph.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 #: Old vertex id -> new vertex id.  Total on the surviving vertices, and the
-#: images always cover 0..n'-1 exactly.  Vertices removed outright (deletion)
-#: are absent from the mapping; contraction maps every vertex somewhere.
+#: images always cover 0..n'-1 exactly.  Deleted vertices are absent.
 VertexMap = dict[int, int]
 
 #: Returned by odd_girth for bipartite graphs.
@@ -153,7 +152,7 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Structural transforms
+# Vertex and edge deletion
 
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, VertexMap]:
@@ -178,73 +177,6 @@ def delete_edges(g: Graph, edge_set) -> Graph:
             raise ValueError(f"{e} is not an edge of the graph")
         drop.add(e)
     return Graph(g.n, tuple(e for e in g.edges if e not in drop))
-
-
-def contract_edge_set(g: Graph, edge_set) -> tuple[Graph, VertexMap]:
-    """Identify the endpoints of every edge in the set (transitively).
-
-    Loops and parallel edges created by the identification are dropped, so the
-    result is the underlying simple graph.  New ids are assigned to the merged
-    classes in order of their smallest original vertex.
-    """
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edge_set:
-        e = (u, v) if u < v else (v, u)
-        if e not in g.edge_index:
-            raise ValueError(f"{e} is not an edge of the graph")
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    roots = sorted({find(x) for x in range(g.n)})
-    root_id = {r: i for i, r in enumerate(roots)}
-    vmap: VertexMap = {x: root_id[find(x)] for x in range(g.n)}
-    new_edges = []
-    for a, b in g.edges:
-        na, nb = vmap[a], vmap[b]
-        if na != nb:
-            new_edges.append((na, nb))
-    return graph(len(roots), new_edges), vmap
-
-
-def subdivide_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    """Replace edge e by a length-2 path through a new vertex with id n."""
-    u, v = e
-    if u > v:
-        u, v = v, u
-    if (u, v) not in g.edge_index:
-        raise ValueError(f"{(u, v)} is not an edge of the graph")
-    w = g.n
-    new_edges = [x for x in g.edges if x != (u, v)]
-    new_edges += [(u, w), (v, w)]
-    return graph(g.n + 1, new_edges)
-
-
-def split_off(g: Graph, v: int) -> Graph:
-    """Delete a degree-2 vertex and join its two neighbors directly.
-
-    Requires the neighbors to be non-adjacent, otherwise the result would need
-    a parallel edge; callers must handle that case themselves.
-    """
-    g._check_vertex(v)
-    nbrs = g.adjacency[v]
-    if len(nbrs) != 2:
-        raise ValueError(f"vertex {v} has degree {len(nbrs)}, need exactly 2")
-    a, b = nbrs
-    if g.has_edge(a, b):
-        raise ValueError(
-            f"neighbors {a} and {b} of vertex {v} are adjacent; "
-            "splitting off would create a parallel edge"
-        )
-    h, vmap = delete_vertex(g, v)
-    return graph(h.n, list(h.edges) + [(vmap[a], vmap[b])])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,16 @@
 
 md(G) of a connected graph is the largest color count over edge colorings in
 which every vertex pair is separated by deleting one color class.  The solver
-decomposes into blocks (md adds over blocks), sandwiches each block between
-cheap bounds, and closes the gap with a backtracking search that descends from
-the upper bound; by color merging, the first feasible k is the answer.
+decomposes into blocks (md adds over blocks), bounds each block from above,
+and closes the gap with a backtracking search that descends from the upper
+bound; by color merging, the first feasible k is the answer.
+
+The upper bound is the least of four rules: n - 1 (vertex-bound), n/2 for a
+2-connected block (half-order), the number of forced-monochromatic edge
+classes (mono-classes), and the md of the graph left after stripping a soft
+layer of non-cut vertices (soft-layer), solved recursively on the caller's
+budget.  The lower bound is closed-form (one, tree, unicyclic-half) and is
+reported in the bound trail only.
 
 The search assigns whole edge classes rather than edges: restricted to any
 triangle a separating coloring is monochromatic, and restricted to any 4-cycle
@@ -14,6 +21,11 @@ shrinks the search space a lot on dense or product-shaped inputs.
 
 md_oracle is the independent cross-check: it enumerates raw set partitions of
 the edge set, no quotient, no blocks, and shares no pruning with md_exact.
+
+Each layer (block_decomposition, mono_classes, md_upper_bound, md_lower_bound,
+md_feasible, is_md_coloring, md_exact) is called through this module's
+globals, so a wrapper installed on the module attribute, as the benchmark's
+tracer does, sees every call, nested sub-solves included.
 """
 
 from __future__ import annotations
@@ -21,16 +33,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from mdlab.analysis import (
-    block_decomposition,
-    find_matching_cuts,
-    is_closure,
-    is_two_connected,
-    soft_layer_reduce,
-    theta_classes,
-)
+from mdlab.analysis import block_decomposition, is_two_connected, soft_layer_reduce
 from mdlab.coloring import EdgeColoring, is_md_coloring, trivial_coloring
-from mdlab.graph import Graph, is_connected, min_degree
+from mdlab.graph import Graph, is_connected
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -46,18 +51,10 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass
 class SearchConfig:
-    """Budgets and bound toggles for the exact solver."""
+    """Node and time budgets for one whole solve, sub-solves included."""
 
     node_budget: int = 500_000_000
     time_budget_ms: float | None = None
-    use_theta: bool = True
-    use_mono: bool = True
-    use_closure: bool = True
-    use_min_degree: bool = True
-    use_soft_layer: bool = True
-    use_matching_cut: bool = True
-    matching_cut_cap: int = 16
-    descend: bool = True
 
     def __post_init__(self) -> None:
         if self.node_budget <= 0:
@@ -173,41 +170,36 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
 # Bounds
 
 
-def md_upper_bound(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
-    """Smallest applicable upper bound with the name of the rule that won."""
-    cfg = cfg or DEFAULT_CONFIG
+def md_upper_bound(
+    g: Graph, cfg: SearchConfig | None = None, _budget: _Budget | None = None
+) -> tuple[int, str]:
+    """Smallest applicable upper bound with the name of the rule that won.
+
+    The soft-layer rule solves a smaller graph exactly; its search nodes are
+    charged to `_budget` (the caller's solve) or, without one, to a fresh
+    budget from cfg.  Running out raises SearchBudgetExceeded rather than
+    loosening the bound.
+    """
     if not is_connected(g) or g.n < 2:
         raise ValueError("bounds are defined for connected graphs on >= 2 vertices")
     best, name = g.n - 1, "vertex-bound"
     if is_two_connected(g) and g.n // 2 < best:
         best, name = g.n // 2, "half-order"
-    if cfg.use_min_degree and min_degree(g) >= g.n // 2 + 1 and best > 1:
-        best, name = 1, "min-degree-one"
-    if cfg.use_closure and best > 1 and is_closure(g):
-        best, name = 1, "closure-one"
-    if cfg.use_theta and best > 1:
-        count = len(theta_classes(g).classes)
-        if count < best:
-            best, name = count, "theta-classes"
-    if cfg.use_mono and best > 1:
+    if best > 1:
         count = len(mono_classes(g))
         if count < best:
             best, name = count, "mono-classes"
-    if cfg.use_soft_layer and best > 1:
+    if best > 1:
         reduced, seq = soft_layer_reduce(g)
-        if seq and reduced.n < g.n:
-            try:
-                value = md_value(reduced, cfg)
-            except SearchBudgetExceeded:
-                value = None
-            if value is not None and value < best:
+        if seq:
+            value = md_exact(reduced, cfg, _budget=_budget).value
+            if value < best:
                 best, name = value, "soft-layer"
     return best, name
 
 
-def md_lower_bound(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
-    """Largest applicable lower bound with the name of the rule that won."""
-    cfg = cfg or DEFAULT_CONFIG
+def md_lower_bound(g: Graph) -> tuple[int, str]:
+    """Largest closed-form lower bound with the name of the rule that won."""
     if not is_connected(g) or g.n < 2:
         raise ValueError("bounds are defined for connected graphs on >= 2 vertices")
     best, name = 1, "one"
@@ -215,13 +207,6 @@ def md_lower_bound(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]
         best, name = g.n - 1, "tree"
     if g.m == g.n and g.n // 2 > best:
         best, name = g.n // 2, "unicyclic-half"
-    if (
-        cfg.use_matching_cut
-        and best < 2
-        and g.n <= cfg.matching_cut_cap
-        and find_matching_cuts(g, minimal_only=True, max_n=cfg.matching_cut_cap)
-    ):
-        best, name = 2, "matching-cut"
     return best, name
 
 
@@ -376,43 +361,33 @@ def _solve_connected(
     g: Graph, cfg: SearchConfig, budget: _Budget
 ) -> tuple[int, EdgeColoring, list[tuple[str, int]]]:
     """Exact md of a connected graph on >= 2 vertices, no block splitting."""
-    upper, upper_name = md_upper_bound(g, cfg)
-    lower, lower_name = md_lower_bound(g, cfg)
+    upper, upper_name = md_upper_bound(g, cfg, _budget=budget)
+    lower, lower_name = md_lower_bound(g)
     trail = [(upper_name, upper), (lower_name, lower)]
-    if cfg.descend:
-        for k in range(upper, 0, -1):
-            col = md_feasible(g, k, cfg, _budget=budget)
-            if col is not None:
-                return k, col, trail
-        raise AssertionError("the one-color coloring always separates")
-    best_k, best_col = 1, trivial_coloring(g)
-    start = max(lower, 1)
-    if start > 1:
-        col = md_feasible(g, start, cfg, _budget=budget)
-        if col is None:
-            raise AssertionError("lower bound violated by the search")
-        best_k, best_col = start, col
-    for k in range(best_k + 1, upper + 1):
+    for k in range(upper, 0, -1):
         col = md_feasible(g, k, cfg, _budget=budget)
-        if col is None:
-            break
-        best_k, best_col = k, col
-    return best_k, best_col, trail
+        if col is not None:
+            return k, col, trail
+    raise AssertionError("the one-color coloring always separates")
 
 
-def md_exact(g: Graph, cfg: SearchConfig | None = None) -> MdResult:
+def md_exact(
+    g: Graph, cfg: SearchConfig | None = None, _budget: _Budget | None = None
+) -> MdResult:
     """Exact md with a verified extremal coloring.
 
     Splits into blocks (md adds over blocks, and bridges contribute 1 each),
     solves each non-trivial block by descending feasibility, then assembles a
     whole-graph coloring from the block colorings on disjoint palettes.  The
-    assembled certificate is re-verified before returning.
+    assembled certificate is re-verified before returning.  A bound's
+    sub-solve passes its caller's budget as `_budget`, so stats["nodes"] and
+    the budgets cover the whole solve.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not is_connected(g):
         raise ValueError("md is defined for connected graphs")
     started = time.perf_counter()
-    budget = _Budget(cfg)
+    budget = _budget if _budget is not None else _Budget(cfg)
     if g.n <= 1:
         return MdResult(
             value=0,
@@ -470,20 +445,6 @@ def md_exact(g: Graph, cfg: SearchConfig | None = None) -> MdResult:
         bounds_trail=tuple(trail),
         stats={"nodes": budget.nodes, "time_ms": elapsed},
     )
-
-
-_MD_VALUE_CACHE: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
-
-
-def md_value(g: Graph, cfg: SearchConfig | None = None) -> int:
-    """md_exact's value with an in-process cache keyed by the exact graph."""
-    key = (g.n, g.edges)
-    hit = _MD_VALUE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    value = md_exact(g, cfg).value
-    _MD_VALUE_CACHE[key] = value
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,9 @@ import pytest
 from mdlab.analysis import (
     block_decomposition,
     find_matching_cuts,
-    has_matching_cut,
-    is_closure,
     is_two_connected,
     max_edges_with_r_blocks,
     soft_layer_reduce,
-    theta_classes,
 )
 from mdlab.graph import components, graph, is_connected
 
@@ -92,91 +89,6 @@ class TestBlocks:
         assert not is_two_connected(k(2))
 
 
-class TestThetaClasses:
-    def test_k4_single_class(self):
-        assert len(theta_classes(k(4)).classes) == 1
-
-    def test_c5_all_singletons(self):
-        part = theta_classes(cycle(5))
-        assert len(part.classes) == 5
-        assert part.gadget_count == 0
-
-    def test_k23_single_class(self):
-        part = theta_classes(k23())
-        assert len(part.classes) == 1
-        assert part.gadget_count == 1
-
-    def test_chain_soundness_on_random_graphs(self):
-        # For every class with two or more edges, a chain of gadgets sharing
-        # edges must link any two members.  Rebuild the gadget incidence
-        # structure independently and BFS over it.
-        rng = random.Random(4242)
-        for _ in range(40):
-            g = random_connected(rng.randrange(3, 8), rng.uniform(0.3, 0.9), rng)
-            gadgets = []
-            for a, b, c in combinations(range(g.n), 3):
-                es = [(a, b), (a, c), (b, c)]
-                if all(g.has_edge(u, v) for u, v in es):
-                    gadgets.append({tuple(sorted(e)) for e in es})
-            for u, v in combinations(range(g.n), 2):
-                cn = set(g.adjacency[u]) & set(g.adjacency[v])
-                for trio in combinations(sorted(cn), 3):
-                    es = set()
-                    for w in trio:
-                        es.add(tuple(sorted((u, w))))
-                        es.add(tuple(sorted((v, w))))
-                    gadgets.append(es)
-
-            def reachable(e0):
-                seen = {e0}
-                frontier = [e0]
-                while frontier:
-                    e = frontier.pop()
-                    for gd in gadgets:
-                        if e in gd:
-                            for f in gd:
-                                if f not in seen:
-                                    seen.add(f)
-                                    frontier.append(f)
-                return seen
-
-            for cls in theta_classes(g).classes:
-                if len(cls) >= 2:
-                    reach = reachable(cls[0])
-                    assert set(cls) <= reach
-                # And nothing outside the class may be reachable either.
-                if len(cls) >= 2:
-                    assert reach == set(cls)
-
-    def test_classes_partition_edges(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            g = random_connected(rng.randrange(2, 9), rng.uniform(0.2, 0.9), rng)
-            part = theta_classes(g)
-            seen = [e for cls in part.classes for e in cls]
-            assert sorted(seen) == list(g.edges)
-
-
-class TestClosure:
-    def test_k5_closure(self):
-        assert is_closure(k(5))
-
-    def test_c4_not_closure(self):
-        assert not is_closure(cycle(4))
-
-    def test_k2_not_closure(self):
-        assert not is_closure(k(2))
-
-    def test_k23_closure(self):
-        assert is_closure(k23())
-
-    def test_gadget_union_not_closure_when_edge_uncovered(self):
-        # Triangle plus pendant edge: one class would need the pendant edge
-        # covered, which no gadget does.
-        g = graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        assert not is_closure(g)
-
-
 class TestMatchingCuts:
     def test_c6_minimal_cuts_are_nonadjacent_pairs(self):
         cuts = find_matching_cuts(cycle(6), minimal_only=True)
@@ -187,7 +99,7 @@ class TestMatchingCuts:
 
     def test_k4_has_none(self):
         assert find_matching_cuts(k(4)) == []
-        assert not has_matching_cut(k(4))
+        assert find_matching_cuts(k(4), minimal_only=True) == []
 
     def test_tree_bridges_are_matching_cuts(self):
         g = path(5)

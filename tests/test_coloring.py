@@ -13,7 +13,7 @@ from mdlab.coloring import (
     normalize,
     trivial_coloring,
 )
-from mdlab.graph import components, delete_edges, graph, is_connected
+from mdlab.graph import components, graph, is_connected
 
 
 def k(n):

@@ -9,7 +9,6 @@ from mdlab.graph import (
     INFINITE,
     common_neighbors,
     components,
-    contract_edge_set,
     delete_edges,
     delete_vertex,
     from_graph6,
@@ -18,8 +17,6 @@ from mdlab.graph import (
     is_connected,
     min_degree,
     odd_girth,
-    split_off,
-    subdivide_edge,
     to_dot,
     to_graph6,
 )
@@ -146,7 +143,7 @@ class TestConnectivity:
         assert components(g) == [[0, 1], [2, 3]]
 
     def test_c5_minus_edge_connected(self):
-        g = delete_edges(cycle(5), [(0, 1)])
+        g = graph(5, [(1, 2), (2, 3), (3, 4), (0, 4)])
         assert is_connected(g)
 
     def test_empty_graph_connected_by_convention(self):
@@ -175,81 +172,6 @@ class TestTransforms:
     def test_delete_edges_rejects_non_edge(self):
         with pytest.raises(ValueError):
             delete_edges(cycle(4), [(0, 2)])
-
-    def test_contract_one_edge_of_k3(self):
-        g, vmap = contract_edge_set(k(3), [(0, 1)])
-        assert g == k(2)
-        assert vmap == {0: 0, 1: 0, 2: 1}
-
-    def test_contract_perfect_matching_of_c6(self):
-        # Hand contraction: classes {0,1},{2,3},{4,5}; the other three cycle
-        # edges become the triangle.
-        g, _ = contract_edge_set(cycle(6), [(0, 1), (2, 3), (4, 5)])
-        assert g == k(3)
-
-    def test_contract_all_tree_edges(self):
-        g, vmap = contract_edge_set(path(5), path(5).edges)
-        assert g == graph(1, [])
-        assert set(vmap.values()) == {0}
-
-    def test_contract_spanning_connected_set_gives_single_vertex(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            n = rng.randrange(2, 9)
-            g = random_graph(n, 0.6, rng)
-            if not is_connected(g):
-                continue
-            contracted, _ = contract_edge_set(g, g.edges)
-            assert contracted.n == len(components(g))
-
-    def test_subdivide_k3_edge(self):
-        g = subdivide_edge(k(3), (0, 1))
-        assert (g.n, g.m) == (4, 4)
-        assert sorted(g.degree(v) for v in range(4)) == [2, 2, 2, 2]
-
-    def test_subdivide_c4_gives_c5(self):
-        g = subdivide_edge(cycle(4), (0, 1))
-        assert (g.n, g.m) == (5, 5)
-        assert all(g.degree(v) == 2 for v in range(5))
-
-    def test_subdivide_pendent_edge_of_path(self):
-        g = subdivide_edge(path(4), (0, 1))
-        assert (g.n, g.m) == (5, 4)
-        assert sorted(g.degree(v) for v in range(5)) == [1, 1, 2, 2, 2]
-
-    def test_subdivide_split_off_counts(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            g = random_graph(rng.randrange(3, 9), 0.5, rng)
-            if not g.edges:
-                continue
-            e = g.edges[rng.randrange(g.m)]
-            h = subdivide_edge(g, e)
-            assert (h.n, h.m) == (g.n + 1, g.m + 1)
-            back = split_off(h, h.n - 1)
-            assert (back.n, back.m) == (g.n, g.m)
-            assert back == g
-
-    def test_split_off_path(self):
-        assert split_off(path(3), 1) == k(2)
-
-    def test_split_off_c5(self):
-        assert split_off(cycle(5), 0) == cycle(4)
-
-    def test_split_off_rejects_adjacent_neighbors(self):
-        # The triangle is the smallest cycle where this fires: both neighbors
-        # of any vertex are themselves adjacent.
-        with pytest.raises(ValueError, match="adjacent"):
-            split_off(cycle(3), 0)
-
-    def test_split_off_rejects_wrong_degree(self):
-        with pytest.raises(ValueError, match="degree"):
-            split_off(k(4), 0)
-
-    def test_split_off_c4_gives_triangle(self):
-        # Neighbors 1 and 3 of vertex 0 are non-adjacent in C_4, so the
-        # operation is legal and closes the remaining path into C_3.
-        assert split_off(cycle(4), 0) == k(3)
 
 
 class TestOddGirth:
