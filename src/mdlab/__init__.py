@@ -12,9 +12,7 @@ from mdlab.graph import (
     Graph6Error,
     INFINITE,
     VertexMap,
-    common_neighbors,
     components,
-    delete_edges,
     delete_vertex,
     from_graph6,
     graph,
@@ -32,9 +30,7 @@ __all__ = [
     "Graph6Error",
     "INFINITE",
     "VertexMap",
-    "common_neighbors",
     "components",
-    "delete_edges",
     "delete_vertex",
     "from_graph6",
     "graph",

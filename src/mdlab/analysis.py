@@ -1,5 +1,5 @@
 """Structural analyses feeding the md solver: blocks, matching cuts, and
-degree-two layer reductions, plus the edge bound for a given block count.
+degree-two layer reductions.
 
 md adds over blocks, so the solver works block by block; a matching cut gives
 a two-color separating coloring; and soft_layer_reduce yields the smaller
@@ -8,7 +8,6 @@ graph whose md the solver's soft-layer rule uses as an upper bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from mdlab.graph import Graph, VertexMap, delete_vertex, graph, is_connected
@@ -195,20 +194,6 @@ def find_matching_cuts(
             continue
         found.add(tuple(sorted(cross)))
     return sorted(found, key=lambda cut: (len(cut), cut))
-
-
-# ---------------------------------------------------------------------------
-# Block-count edge bound
-
-
-def max_edges_with_r_blocks(n: int, r: int) -> int:
-    """Largest edge count of a connected n-vertex graph with exactly r blocks.
-
-    Attained by one clique block on n-r+1 vertices plus r-1 bridges.
-    """
-    if n < 2 or not 1 <= r <= n - 1:
-        raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
-    return math.comb(n - r + 1, 2) + r - 1
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,6 @@ def max_degree(g: Graph) -> int:
     return max((len(a) for a in g.adjacency), default=0)
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> tuple[int, ...]:
-    """Vertices adjacent to both u and v, sorted."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    return tuple(sorted(set(g.adjacency[u]) & set(g.adjacency[v])))
-
-
 # ---------------------------------------------------------------------------
 # Connectivity
 
@@ -152,7 +145,7 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vertex and edge deletion
+# Vertex deletion
 
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, VertexMap]:
@@ -166,17 +159,6 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, VertexMap]:
         (vmap[a], vmap[b]) for a, b in g.edges if a != v and b != v
     ]
     return graph(g.n - 1, new_edges), vmap
-
-
-def delete_edges(g: Graph, edge_set) -> Graph:
-    """Remove the given edges; all vertices stay."""
-    drop = set()
-    for u, v in edge_set:
-        e = (u, v) if u < v else (v, u)
-        if e not in g.edge_index:
-            raise ValueError(f"{e} is not an edge of the graph")
-        drop.add(e)
-    return Graph(g.n, tuple(e for e in g.edges if e not in drop))
 
 
 # ---------------------------------------------------------------------------

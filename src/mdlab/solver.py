@@ -19,6 +19,13 @@ it makes opposite edges equal, so the union-closure of those constraints is
 monochromatic under every separating coloring.  This refines nothing away and
 shrinks the search space a lot on dense or product-shaped inputs.
 
+Classes are assigned in index order, so the unassigned classes U are always a
+suffix.  With sep(S) the mask of vertex pairs split by deleting every class in
+S, and A_j the classes of color j, a node is dead iff
+OR_{j < opened} sep(A_j | U) misses a pair: no completion can then split that
+pair.  sep is memoized once per block for every k of the descent, so a node
+costs at most k table lookups.
+
 md_oracle is the independent cross-check: it enumerates raw set partitions of
 the edge set, no quotient, no blocks, and shares no pruning with md_exact.
 
@@ -126,38 +133,39 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
         if ra != rb:
             parent[rb] = ra
 
-    idx = g.edge_index
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    for u, v in g.edges:
-        common = masks[u] & masks[v]
-        e_uv = idx[(u, v)]
-        w = common
-        while w:
-            wb = w & -w
-            x = wb.bit_length() - 1
-            w ^= wb
-            union(e_uv, idx[(min(u, x), max(u, x))])
-            union(e_uv, idx[(min(v, x), max(v, x))])
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            common = masks[u] & masks[v]
-            if common.bit_count() < 2:
-                continue
+    n = g.n
+    eid = [[-1] * n for _ in range(n)]
+    nbrs = [0] * n
+    for i, (u, v) in enumerate(g.edges):
+        eid[u][v] = eid[v][u] = i
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    for u in range(n):
+        eu = eid[u]
+        for v in range(u + 1, n):
+            w = nbrs[u] & nbrs[v]
             xs = []
-            w = common
             while w:
-                wb = w & -w
-                xs.append(wb.bit_length() - 1)
-                w ^= wb
-            for i in range(len(xs)):
-                for j in range(i + 1, len(xs)):
-                    x, y = xs[i], xs[j]
-                    # 4-cycle u-x-v-y: opposite edges share a color.
-                    union(idx[(min(u, x), max(u, x))], idx[(min(v, y), max(v, y))])
-                    union(idx[(min(v, x), max(v, x))], idx[(min(u, y), max(u, y))])
+                bit = w & -w
+                w ^= bit
+                xs.append(bit.bit_length() - 1)
+            ev = eid[v]
+            if eu[v] >= 0:
+                # Triangle u-v-x: all three edges share a color.
+                for x in xs:
+                    union(eu[v], eu[x])
+                    union(eu[v], ev[x])
+            if len(xs) == 2:
+                # 4-cycle u-x-v-y: opposite edges share a color.
+                x, y = xs
+                union(eu[x], ev[y])
+                union(ev[x], eu[y])
+            elif len(xs) > 2:
+                # With three or more common neighbors the opposite-edge pairs
+                # of all those 4-cycles chain every u-x and v-x edge together.
+                for x in xs:
+                    union(eu[xs[0]], eu[x])
+                    union(eu[xs[0]], ev[x])
     groups: dict[int, list[int]] = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
@@ -214,90 +222,67 @@ def md_lower_bound(g: Graph) -> tuple[int, str]:
 # Feasibility search
 
 
-def _search(g: Graph, k: int, classes: list[tuple[tuple[int, int], ...]],
-            budget: _Budget) -> list[int] | None:
+class _SepTable:
+    """One block's mono classes in search order (largest first, ties by first
+    edge index) and its memo from a class bitmask S to sep(S), with pair
+    (u, v) at bit u*n + v; `full` holds every pair with u != v."""
+
+    __slots__ = ("classes", "full", "_n", "_memo")
+
+    def __init__(self, g: Graph):
+        classes = mono_classes(g)
+        classes.sort(key=lambda cls: (-len(cls), g.edge_index[cls[0]]))
+        self.classes = classes
+        n = self._n = g.n
+        self.full = ((1 << (n * n)) - 1) ^ sum(1 << (u * n + u) for u in range(n))
+        self._memo: dict[int, int] = {}
+
+    def sep(self, deleted: int) -> int:
+        mask = self._memo.get(deleted)
+        if mask is not None:
+            return mask
+        n = self._n
+        adj = [0] * n
+        for ci, cls in enumerate(self.classes):
+            if not (deleted >> ci) & 1:
+                for u, v in cls:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        joined = 0
+        todo = (1 << n) - 1
+        while todo:
+            comp = frontier = todo & -todo
+            while frontier:
+                reach = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    reach |= adj[bit.bit_length() - 1]
+                frontier = reach & ~comp
+                comp |= frontier
+            todo &= ~comp
+            w = comp
+            while w:
+                bit = w & -w
+                w ^= bit
+                joined |= comp << (n * (bit.bit_length() - 1))
+        mask = self._memo[deleted] = self.full & ~joined
+        return mask
+
+
+def _search(table: _SepTable, k: int, budget: _Budget) -> list[int] | None:
     """Assign classes to colors 0..k-1; return per-class colors or None.
 
-    Colors open in order (class may take color c only if 0..c-1 are in use),
-    and a branch dies as soon as some vertex pair provably cannot be separated
-    in any completion: for each color j the union-find over edges already
-    assigned to other colors only ever grows, so a pair connected under every
-    such structure (and under all assigned edges, when a fresh color could
-    still open) is beyond saving.
+    Colors open in order (a class may take color c only if 0..c-1 are in
+    use), and a node dies when OR_{j < opened} sep(A_j | U) misses a pair.  A
+    still unopened color could add only sep(U), which every term contains as
+    sep is monotone; an assigned edge of color c lies in every term but
+    sep(A_c | U), so adjacent pairs need no test of their own.
     """
-    n = g.n
-    t = len(classes)
-    edge_class = {}
-    for ci, cls in enumerate(classes):
-        for e in cls:
-            edge_class[e] = ci
-    pair_info: list[tuple[int, int, int]] = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            pair_info.append((u, v, edge_class.get((u, v), -1)))
-    class_endpoints = [tuple(cls) for cls in classes]
-
-    # Union-find per color plus one over all assigned edges (index k); union
-    # by size, no path compression, journal for rollback.
-    parent = [list(range(n)) for _ in range(k + 1)]
-    size = [[1] * n for _ in range(k + 1)]
-    journal: list[tuple[int, int, int]] = []
+    t = len(table.classes)
+    sep, full = table.sep, table.full
+    members = [0] * k
     color_of_class = [-1] * t
-
-    def find(p: list[int], x: int) -> int:
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    def assign(ci: int, color: int) -> int:
-        mark = len(journal)
-        color_of_class[ci] = color
-        for u, v in class_endpoints[ci]:
-            for j in range(k + 1):
-                if j == color:
-                    continue
-                p = parent[j]
-                ru, rv = find(p, u), find(p, v)
-                if ru == rv:
-                    continue
-                s = size[j]
-                if s[ru] < s[rv]:
-                    ru, rv = rv, ru
-                p[rv] = ru
-                s[ru] += s[rv]
-                journal.append((j, rv, ru))
-        return mark
-
-    def rollback(ci: int, mark: int) -> None:
-        color_of_class[ci] = -1
-        while len(journal) > mark:
-            j, rv, ru = journal.pop()
-            parent[j][rv] = rv
-            size[j][ru] -= size[j][rv]
-
-    def has_dead_pair(opened: int) -> bool:
-        for u, v, ci in pair_info:
-            if ci >= 0:
-                col = color_of_class[ci]
-                if col >= 0:
-                    # Adjacent pair: only the edge's own color can separate it.
-                    p = parent[col]
-                    if find(p, u) == find(p, v):
-                        return True
-                    continue
-            hope = False
-            for j in range(opened):
-                p = parent[j]
-                if find(p, u) != find(p, v):
-                    hope = True
-                    break
-            if not hope and opened < k:
-                p = parent[k]
-                if find(p, u) != find(p, v):
-                    hope = True
-            if not hope:
-                return True
-        return False
 
     def dfs(i: int, opened: int) -> bool:
         budget.tick()
@@ -305,26 +290,36 @@ def _search(g: Graph, k: int, classes: list[tuple[tuple[int, int], ...]],
             return opened == k
         if t - i < k - opened:
             return False
+        bit = 1 << i
+        rest = (1 << t) - (bit << 1)
         for color in range(min(opened + 1, k)):
-            mark = assign(i, color)
+            members[color] |= bit
             new_opened = opened if color < opened else opened + 1
-            if not has_dead_pair(new_opened) and dfs(i + 1, new_opened):
+            covered = 0
+            for j in range(new_opened):
+                covered |= sep(members[j] | rest)
+                if covered == full:
+                    break
+            if covered == full and dfs(i + 1, new_opened):
+                color_of_class[i] = color
                 return True
-            rollback(i, mark)
+            members[color] ^= bit
         return False
 
     if dfs(0, 0):
-        return list(color_of_class)
+        return color_of_class
     return None
 
 
 def md_feasible(
-    g: Graph, k: int, cfg: SearchConfig | None = None, _budget: _Budget | None = None
+    g: Graph, k: int, cfg: SearchConfig | None = None, _budget: _Budget | None = None,
+    _table: _SepTable | None = None,
 ) -> EdgeColoring | None:
     """A separating coloring of g with exactly k colors, or None.
 
     Raises SearchBudgetExceeded instead of returning None when the budget runs
     out, so an unknown outcome is never silently conflated with infeasibility.
+    A descent passes its block's separation table as `_table`.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not is_connected(g):
@@ -335,16 +330,15 @@ def md_feasible(
         return trivial_coloring(g)
     if k > g.m:
         return None
-    classes = mono_classes(g)
-    if k > len(classes):
+    table = _table if _table is not None else _SepTable(g)
+    if k > len(table.classes):
         return None
-    classes.sort(key=lambda cls: (-len(cls), g.edge_index[cls[0]]))
     budget = _budget if _budget is not None else _Budget(cfg)
-    solution = _search(g, k, classes, budget)
+    solution = _search(table, k, budget)
     if solution is None:
         return None
     color_by_edge: dict[tuple[int, int], int] = {}
-    for cls, col in zip(classes, solution):
+    for cls, col in zip(table.classes, solution):
         for e in cls:
             color_by_edge[e] = col + 1
     coloring = EdgeColoring(g, tuple(color_by_edge[e] for e in g.edges))
@@ -364,8 +358,9 @@ def _solve_connected(
     upper, upper_name = md_upper_bound(g, cfg, _budget=budget)
     lower, lower_name = md_lower_bound(g)
     trail = [(upper_name, upper), (lower_name, lower)]
+    table = _SepTable(g) if upper > 1 else None
     for k in range(upper, 0, -1):
-        col = md_feasible(g, k, cfg, _budget=budget)
+        col = md_feasible(g, k, cfg, _budget=budget, _table=table)
         if col is not None:
             return k, col, trail
     raise AssertionError("the one-color coloring always separates")

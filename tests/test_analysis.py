@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import combinations
 
@@ -8,7 +7,6 @@ from mdlab.analysis import (
     block_decomposition,
     find_matching_cuts,
     is_two_connected,
-    max_edges_with_r_blocks,
     soft_layer_reduce,
 )
 from mdlab.graph import components, graph, is_connected
@@ -195,22 +193,3 @@ class TestSoftLayer:
                     o: vmap[c] for o, c in to_cur.items() if c != v
                 }
                 current = nxt
-
-
-class TestBlockEdgeBound:
-    def test_example(self):
-        assert max_edges_with_r_blocks(6, 3) == 8
-
-    def test_one_block_is_clique(self):
-        for n in range(2, 12):
-            assert max_edges_with_r_blocks(n, 1) == math.comb(n, 2)
-
-    def test_tree_case(self):
-        for n in range(2, 12):
-            assert max_edges_with_r_blocks(n, n - 1) == n - 1
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            max_edges_with_r_blocks(5, 0)
-        with pytest.raises(ValueError):
-            max_edges_with_r_blocks(5, 5)

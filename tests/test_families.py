@@ -1,0 +1,73 @@
+"""The md values and edge counts that the families docstrings claim, n <= 12."""
+
+import math
+
+import pytest
+
+from mdlab.coloring import is_md_coloring
+from mdlab.extremal import mu
+from mdlab.families import (
+    clique_lollipop,
+    matched_cliques,
+    near_clique_lollipop,
+    sparsest_md_one,
+    threshold_witness,
+    threshold_witness_coloring,
+)
+from mdlab.solver import md_exact
+
+
+def md(fam):
+    return md_exact(fam.graph).value
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_sparsest_md_one(n):
+    fam = sparsest_md_one(n)
+    assert fam.graph.n == n
+    assert fam.graph.m == math.ceil(3 * (n - 1) / 2)
+    assert md(fam) == 1
+
+
+def check_threshold_witness(n):
+    for r in range(3, n // 2 + 1):
+        fam = threshold_witness(n, r)
+        assert fam.graph.n == n
+        assert fam.graph.m == mu(n, r)
+        assert md(fam) == r, (n, r)
+        coloring = threshold_witness_coloring(n, r)
+        assert coloring.graph == fam.graph
+        assert coloring.k == r
+        assert is_md_coloring(fam.graph, coloring)[0], (n, r)
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_threshold_witness(n):
+    check_threshold_witness(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [11, 12])
+def test_threshold_witness_large(n):
+    check_threshold_witness(n)
+
+
+@pytest.mark.parametrize("n", range(4, 13, 2))
+def test_matched_cliques_md_at_least_two(n):
+    assert md(matched_cliques(n)) >= 2
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_clique_lollipop(n):
+    for tail in range(n - 1):
+        fam = clique_lollipop(n, tail)
+        assert fam.graph.m == math.comb(n - tail, 2) + tail
+        assert md(fam) == tail + 1, (n, tail)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_near_clique_lollipop(n):
+    for tail in range(n - 2):
+        fam = near_clique_lollipop(n, tail)
+        assert fam.graph.m == math.comb(n - tail - 1, 2) + 2 + tail
+        assert md(fam) == tail + 1, (n, tail)

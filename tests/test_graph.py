@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -7,9 +6,7 @@ from mdlab.graph import (
     Graph,
     Graph6Error,
     INFINITE,
-    common_neighbors,
     components,
-    delete_edges,
     delete_vertex,
     from_graph6,
     graph,
@@ -165,14 +162,6 @@ class TestTransforms:
         g, _ = delete_vertex(graph(4, [(0, 1), (0, 2), (0, 3)]), 0)
         assert g == graph(3, [])
 
-    def test_delete_edges_c4(self):
-        g = delete_edges(cycle(4), [(0, 1)])
-        assert g == graph(4, [(0, 3), (1, 2), (2, 3)])
-
-    def test_delete_edges_rejects_non_edge(self):
-        with pytest.raises(ValueError):
-            delete_edges(cycle(4), [(0, 2)])
-
 
 class TestOddGirth:
     def test_c6_bipartite(self):
@@ -222,16 +211,6 @@ class TestOddGirth:
 
 
 class TestSmallQueries:
-    def test_k23_common_neighbors(self):
-        g = graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-        assert common_neighbors(g, 0, 1) == (2, 3, 4)
-
-    def test_k4_pair(self):
-        assert common_neighbors(k(4), 0, 1) == (2, 3)
-
-    def test_c5_adjacent_pair(self):
-        assert common_neighbors(cycle(5), 0, 1) == ()
-
     def test_min_degree(self):
         assert min_degree(path(4)) == 1
         assert min_degree(k(4)) == 3

@@ -108,6 +108,17 @@ class TestExactAgainstOracle:
         for g in connected_graphs(range(1, 6)):
             assert md_exact(g).value == md_oracle(g), g.edges
 
+    def test_feasible_exactly_up_to_md_at_every_k(self):
+        # The descent proves every k above md infeasible; this checks each k
+        # on its own, including the colorings the pruning must not cut off.
+        for g in connected_graphs(range(2, 6)):
+            md = md_oracle(g)
+            for kk in range(1, g.m + 1):
+                coloring = solver.md_feasible(g, kk)
+                assert (coloring is not None) == (kk <= md), (g.edges, kk, md)
+                if coloring is not None:
+                    assert coloring.k == kk and is_md_coloring(g, coloring)[0]
+
     @pytest.mark.slow
     def test_six_and_seven_vertices_sparse(self):
         graphs = list(enumerate_connected(6, max_edges=10))
