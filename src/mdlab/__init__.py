@@ -18,7 +18,6 @@ from mdlab.graph import (
     graph,
     is_bipartite,
     is_connected,
-    max_degree,
     min_degree,
     odd_girth,
     to_dot,
@@ -36,7 +35,6 @@ __all__ = [
     "graph",
     "is_bipartite",
     "is_connected",
-    "max_degree",
     "min_degree",
     "odd_girth",
     "to_dot",

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from mdlab.graph import Graph, VertexMap, delete_vertex, graph, is_connected
 
+MATCHING_CUT_CAP = 16
+
 
 @dataclass(frozen=True)
 class BlockDecomposition:
@@ -131,7 +133,7 @@ def is_two_connected(g: Graph) -> bool:
 
 
 def find_matching_cuts(
-    g: Graph, minimal_only: bool = False, max_n: int = 16
+    g: Graph, minimal_only: bool = False
 ) -> list[tuple[tuple[int, int], ...]]:
     """All matching cuts (edge cuts that are matchings), deduplicated.
 
@@ -142,9 +144,9 @@ def find_matching_cuts(
     """
     if not is_connected(g):
         raise ValueError("matching cuts are defined for connected graphs")
-    if g.n > max_n:
+    if g.n > MATCHING_CUT_CAP:
         raise ValueError(
-            f"refusing matching-cut enumeration for n={g.n} > cap {max_n}"
+            f"refusing matching-cut enumeration for n={g.n} > cap {MATCHING_CUT_CAP}"
         )
     if g.n < 2:
         return []

@@ -42,14 +42,6 @@ class EdgeColoring:
             u, v = v, u
         return self.colors[self.graph.edge_index[(u, v)]]
 
-    def color_classes(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Color -> its induced edge set, in canonical edge order."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for e, c in zip(self.graph.edges, self.colors):
-            out.setdefault(c, []).append(e)
-        return {c: tuple(es) for c, es in sorted(out.items())}
-
-
 @dataclass(frozen=True)
 class SeparationCertificate:
     """Per-pair separation witnesses.
@@ -186,5 +178,8 @@ def coloring_from_json(text: str) -> EdgeColoring:
         colors = data["colors"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"coloring JSON needs graph6 and colors fields: {exc}")
-    g = from_graph6(g6)
-    return EdgeColoring(g, tuple(int(x) for x in colors))
+    if not isinstance(colors, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in colors
+    ):
+        raise ValueError(f"colors must be a JSON list of integers, got {colors!r}")
+    return EdgeColoring(from_graph6(g6), tuple(colors))

@@ -136,9 +136,7 @@ def _graph_from_bits(n: int, bits: int) -> Graph:
     return graph(n, edges)
 
 
-def enumerate_connected(
-    n: int, max_edges: int | None = None, cap: int = ENUMERATION_CAP
-) -> Iterator[Graph]:
+def enumerate_connected(n: int, max_edges: int | None = None) -> Iterator[Graph]:
     """One representative per isomorphism class of connected n-vertex graphs.
 
     Optionally restricted to at most max_edges edges (pruned in flight: a
@@ -146,8 +144,8 @@ def enumerate_connected(
     edges, since every later vertex brings at least one).  Representatives
     come out in increasing canonical bit-string order.
     """
-    if not 1 <= n <= cap:
-        raise ValueError(f"enumeration supports 1 <= n <= {cap}, got {n}")
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}, got {n}")
     level = [0]  # canonical edge bitmasks of connected graphs on k vertices
     for k in range(2, n + 1):
         base = (k - 1) * (k - 2) // 2
@@ -172,7 +170,8 @@ def _md_of_graph6(g6: str, cfg: SearchConfig | None) -> int:
     return solver.md_exact(from_graph6(g6), cfg).value
 
 
-_CENSUS_CACHE: dict[tuple[int, int | None], list[tuple[str, int, int]]] = {}
+# Keyed by n <= ENUMERATION_CAP, so it holds at most one census per order.
+_CENSUS_CACHE: dict[int, list[tuple[str, int, int]]] = {}
 
 
 def md_census(
@@ -180,19 +179,17 @@ def md_census(
     graphs: Iterable[Graph] | None = None,
     jobs: int = 1,
     cfg: SearchConfig | None = None,
-    max_edges: int | None = None,
 ) -> list[tuple[str, int, int]]:
     """(graph6, edge count, md) for every connected n-vertex graph.
 
     Sourced from the built-in enumeration unless `graphs` substitutes an
     external catalog (each must be connected on n vertices).  Built-in runs
-    are cached per (n, max_edges).
+    are cached per n.
     """
-    key = (n, max_edges)
-    if graphs is None and key in _CENSUS_CACHE:
-        return _CENSUS_CACHE[key]
+    if graphs is None and n in _CENSUS_CACHE:
+        return _CENSUS_CACHE[n]
     if graphs is None:
-        pool = list(enumerate_connected(n, max_edges=max_edges))
+        pool = list(enumerate_connected(n))
     else:
         pool = list(graphs)
         for gg in pool:
@@ -211,7 +208,7 @@ def md_census(
         values = [solver.md_exact(gg, cfg).value for gg in pool]
     rows = [(g6, gg.m, v) for g6, gg, v in zip(g6s, pool, values)]
     if graphs is None:
-        _CENSUS_CACHE[key] = rows
+        _CENSUS_CACHE[n] = rows
     return rows
 
 
@@ -256,17 +253,10 @@ def _expected_g_witness(n: int, r: int) -> Graph | None:
     return None  # r == 3, even order: located by sweep
 
 
-def _verify(
-    kind: str,
-    n: int,
-    r: int,
-    graphs: Iterable[Graph] | None,
-    jobs: int,
-    cfg: SearchConfig | None,
-) -> ThresholdReport:
+def _verify(kind: str, n: int, r: int) -> ThresholdReport:
     started = time.perf_counter()
     threshold = f(n, r) if kind == "f" else g(n, r)
-    rows = md_census(n, graphs=graphs, jobs=jobs, cfg=cfg)
+    rows = md_census(n)
     notes: list[str] = []
 
     if kind == "f":
@@ -292,7 +282,7 @@ def _verify(
             if (
                 expected.n == n
                 and expected.m == boundary
-                and sharp(solver.md_exact(expected, cfg).value)
+                and sharp(solver.md_exact(expected).value)
             ):
                 witness = to_graph6(expected)
             else:
@@ -323,23 +313,11 @@ def _verify(
     )
 
 
-def verify_f(
-    n: int,
-    r: int,
-    graphs: Iterable[Graph] | None = None,
-    jobs: int = 1,
-    cfg: SearchConfig | None = None,
-) -> ThresholdReport:
+def verify_f(n: int, r: int) -> ThresholdReport:
     """Exhaustively check that e >= f(n, r) forces md <= r, plus sharpness."""
-    return _verify("f", n, r, graphs, jobs, cfg)
+    return _verify("f", n, r)
 
 
-def verify_g(
-    n: int,
-    r: int,
-    graphs: Iterable[Graph] | None = None,
-    jobs: int = 1,
-    cfg: SearchConfig | None = None,
-) -> ThresholdReport:
+def verify_g(n: int, r: int) -> ThresholdReport:
     """Exhaustively check that e <= g(n, r) guarantees md >= r, plus sharpness."""
-    return _verify("g", n, r, graphs, jobs, cfg)
+    return _verify("g", n, r)

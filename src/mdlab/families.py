@@ -15,8 +15,6 @@ The md-extremal families:
   tail; these witness both sides of the upper density threshold f(n, r).
 * matched_cliques(n): two cliques joined by a perfect matching; minimum
   degree floor(n/2) yet md >= 2, so the degree rule for md = 1 is sharp.
-* crown(n): K_{n,n} minus a perfect matching, the tensor product of an edge
-  with K_n.
 """
 
 from __future__ import annotations
@@ -38,12 +36,6 @@ def _need(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def path_graph(n: int) -> FamilyGraph:
-    """Path on n vertices (n - 1 edges)."""
-    _need(n >= 1, f"path needs n >= 1, got {n}")
-    return FamilyGraph(graph(n, [(i, i + 1) for i in range(n - 1)]))
-
-
 def cycle_graph(n: int) -> FamilyGraph:
     _need(n >= 3, f"cycle needs n >= 3, got {n}")
     return FamilyGraph(graph(n, [(i, (i + 1) % n) for i in range(n)]))
@@ -56,13 +48,6 @@ def complete_graph(n: int) -> FamilyGraph:
     )
 
 
-def complete_bipartite(a: int, b: int) -> FamilyGraph:
-    _need(a >= 1 and b >= 1, f"complete bipartite needs both parts >= 1, got {a},{b}")
-    return FamilyGraph(
-        graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    )
-
-
 def complete_minus_edge(n: int) -> FamilyGraph:
     """K_n minus the edge (0, 1); connected for n >= 3."""
     _need(n >= 3, f"complete-minus-edge needs n >= 3, got {n}")
@@ -70,23 +55,6 @@ def complete_minus_edge(n: int) -> FamilyGraph:
         (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (0, 1)
     ]
     return FamilyGraph(graph(n, edges))
-
-
-def star(n: int) -> FamilyGraph:
-    """Star with n leaves: center 0 joined to 1..n."""
-    _need(n >= 1, f"star needs n >= 1 leaves, got {n}")
-    return FamilyGraph(graph(n + 1, [(0, i) for i in range(1, n + 1)]),
-                       {"hub": 0})
-
-
-def fan(n: int) -> FamilyGraph:
-    """Path p1..pn plus a hub adjacent to every path vertex."""
-    _need(n >= 1, f"fan needs n >= 1, got {n}")
-    edges = [(i, i + 1) for i in range(1, n)]
-    edges += [(0, i) for i in range(1, n + 1)]
-    labels = {"hub": 0}
-    labels.update({f"p{i}": i for i in range(1, n + 1)})
-    return FamilyGraph(graph(n + 1, edges), labels)
 
 
 def subdivided_fan(n: int) -> FamilyGraph:
@@ -249,13 +217,6 @@ def matched_cliques(n: int) -> FamilyGraph:
     labels = {f"a{i}": i for i in range(h)}
     labels.update({f"b{i}": h + i for i in range(h)})
     return FamilyGraph(graph(n, edges), labels)
-
-
-def crown(n: int) -> FamilyGraph:
-    """K_{n,n} minus a perfect matching; isomorphic to K_2 tensor K_n."""
-    _need(n >= 1, f"crown needs n >= 1, got {n}")
-    edges = [(i, n + j) for i in range(n) for j in range(n) if i != j]
-    return FamilyGraph(graph(2 * n, edges))
 
 
 def clique_lollipop(n: int, tail: int) -> FamilyGraph:

@@ -108,10 +108,6 @@ def min_degree(g: Graph) -> int:
     return min((len(a) for a in g.adjacency), default=0)
 
 
-def max_degree(g: Graph) -> int:
-    return max((len(a) for a in g.adjacency), default=0)
-
-
 # ---------------------------------------------------------------------------
 # Connectivity
 

@@ -2,7 +2,7 @@
 
 Vertex (u, v) of a product maps to id u * |H| + v (row-major).  The product
 operation itself is definitional and total; the theorem-shaped helpers
-(tensor_connected, tensor_md_upper) enforce their own preconditions.
+(tensor_md_upper) enforces its own preconditions.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 
 from mdlab.coloring import EdgeColoring, is_md_coloring, normalize
-from mdlab.graph import Graph, graph, is_bipartite, is_connected, min_degree, odd_girth
+from mdlab.graph import Graph, graph, is_connected, min_degree, odd_girth
 
 
 class ProductKind(Enum):
@@ -79,13 +79,6 @@ def cartesian_md_coloring(
         else:
             colors.append(ch.color_of((va, vb)) + offset)
     return EdgeColoring(prod, tuple(colors))
-
-
-def tensor_connected(g: Graph, h: Graph) -> bool:
-    """Whether the tensor product is connected: some factor is non-bipartite."""
-    if not (is_connected(g) and is_connected(h)) or g.n < 2 or h.n < 2:
-        raise ValueError("tensor connectivity rule needs connected factors on >= 2 vertices")
-    return not (is_bipartite(g) and is_bipartite(h))
 
 
 def tensor_md_upper(g: Graph, h: Graph) -> int:

@@ -3,8 +3,9 @@
 md(G) of a connected graph is the largest color count over edge colorings in
 which every vertex pair is separated by deleting one color class.  The solver
 decomposes into blocks (md adds over blocks), bounds each block from above,
-and closes the gap with a backtracking search that descends from the upper
-bound; by color merging, the first feasible k is the answer.
+and finds each block's md with one branch-and-bound search that maximizes
+the number of colors opened.  Merging color classes keeps a coloring
+separating, so md_feasible(g, k) merges the extremal coloring to k colors.
 
 The upper bound is the least of four rules: n - 1 (vertex-bound), n/2 for a
 2-connected block (half-order), the number of forced-monochromatic edge
@@ -23,16 +24,16 @@ Classes are assigned in index order, so the unassigned classes U are always a
 suffix.  With sep(S) the mask of vertex pairs split by deleting every class in
 S, and A_j the classes of color j, a node is dead iff
 OR_{j < opened} sep(A_j | U) misses a pair: no completion can then split that
-pair.  sep is memoized once per block for every k of the descent, so a node
-costs at most k table lookups.
+pair.  sep is memoized once per block and shared by every branch of its
+search, so a node costs at most one table lookup per opened color.
 
 md_oracle is the independent cross-check: it enumerates raw set partitions of
 the edge set, no quotient, no blocks, and shares no pruning with md_exact.
 
 Each layer (block_decomposition, mono_classes, md_upper_bound, md_lower_bound,
-md_feasible, is_md_coloring, md_exact) is called through this module's
-globals, so a wrapper installed on the module attribute, as the benchmark's
-tracer does, sees every call, nested sub-solves included.
+is_md_coloring, md_exact) is called through this module's globals, so a
+wrapper installed on the module attribute, as the benchmark's tracer does,
+sees every call, nested sub-solves and md_feasible's solve included.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 
 from mdlab.analysis import block_decomposition, is_two_connected, soft_layer_reduce
-from mdlab.coloring import EdgeColoring, is_md_coloring, trivial_coloring
+from mdlab.coloring import EdgeColoring, is_md_coloring, merge_to_k, trivial_coloring
 from mdlab.graph import Graph, is_connected
 
 
@@ -225,7 +226,8 @@ def md_lower_bound(g: Graph) -> tuple[int, str]:
 class _SepTable:
     """One block's mono classes in search order (largest first, ties by first
     edge index) and its memo from a class bitmask S to sep(S), with pair
-    (u, v) at bit u*n + v; `full` holds every pair with u != v."""
+    (u, v) at bit u*n + v; `full` holds every pair with u != v.  Built once
+    per searched block and hit across the branches of its one search."""
 
     __slots__ = ("classes", "full", "_n", "_memo")
 
@@ -270,84 +272,72 @@ class _SepTable:
         return mask
 
 
-def _search(table: _SepTable, k: int, budget: _Budget) -> list[int] | None:
-    """Assign classes to colors 0..k-1; return per-class colors or None.
+def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
+    """Per-class colors (0-based) of a separating leaf opening the most colors.
 
-    Colors open in order (a class may take color c only if 0..c-1 are in
-    use), and a node dies when OR_{j < opened} sep(A_j | U) misses a pair.  A
-    still unopened color could add only sep(U), which every term contains as
-    sep is monotone; an assigned edge of color c lies in every term but
-    sep(A_c | U), so adjacent pairs need no test of their own.
+    Each class tries a new color first (while fewer than `upper` are open),
+    then the open colors from the highest down.  A node dies when
+    OR_{j < opened} sep(A_j | U) misses a pair.  An unopened color could add
+    only sep(U), which every term contains as sep is monotone, so the test is
+    the same for every final color count and every leaf reached separates; an
+    edge of color c lies in every term but sep(A_c | U), so adjacent pairs
+    need no test of their own.  A node is cut when it cannot open more colors
+    than the best leaf so far; a leaf opening `upper` colors ends the search.
     """
     t = len(table.classes)
     sep, full = table.sep, table.full
-    members = [0] * k
-    color_of_class = [-1] * t
+    members = [0] * upper
+    color_of_class = [0] * t
+    best: list[int] = []
+    best_opened = 0
 
     def dfs(i: int, opened: int) -> bool:
+        nonlocal best, best_opened
         budget.tick()
-        if i == t:
-            return opened == k
-        if t - i < k - opened:
+        if opened + (t - i) <= best_opened:
             return False
+        if i == t:
+            best, best_opened = color_of_class[:], opened
+            return opened == upper
         bit = 1 << i
         rest = (1 << t) - (bit << 1)
-        for color in range(min(opened + 1, k)):
+        for color in range(min(opened, upper - 1), -1, -1):
             members[color] |= bit
-            new_opened = opened if color < opened else opened + 1
+            new_opened = max(opened, color + 1)
             covered = 0
             for j in range(new_opened):
                 covered |= sep(members[j] | rest)
                 if covered == full:
                     break
-            if covered == full and dfs(i + 1, new_opened):
+            if covered == full:
                 color_of_class[i] = color
-                return True
+                if dfs(i + 1, new_opened):
+                    return True
             members[color] ^= bit
         return False
 
-    if dfs(0, 0):
-        return color_of_class
-    return None
+    dfs(0, 0)
+    return best
 
 
 def md_feasible(
-    g: Graph, k: int, cfg: SearchConfig | None = None, _budget: _Budget | None = None,
-    _table: _SepTable | None = None,
+    g: Graph, k: int, cfg: SearchConfig | None = None
 ) -> EdgeColoring | None:
     """A separating coloring of g with exactly k colors, or None.
 
-    Raises SearchBudgetExceeded instead of returning None when the budget runs
-    out, so an unknown outcome is never silently conflated with infeasibility.
-    A descent passes its block's separation table as `_table`.
+    One exists exactly for k <= md, so this merges md_exact's certificate down
+    to k colors.  Raises SearchBudgetExceeded instead of returning None when
+    the budget runs out, so an unknown outcome is never silently conflated
+    with infeasibility.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if not is_connected(g):
-        raise ValueError("md is defined for connected graphs")
     if k < 1:
         raise ValueError("color count must be >= 1")
-    if k == 1:
-        return trivial_coloring(g)
-    if k > g.m:
+    result = md_exact(g, cfg)
+    if k > result.value:
         return None
-    table = _table if _table is not None else _SepTable(g)
-    if k > len(table.classes):
-        return None
-    budget = _budget if _budget is not None else _Budget(cfg)
-    solution = _search(table, k, budget)
-    if solution is None:
-        return None
-    color_by_edge: dict[tuple[int, int], int] = {}
-    for cls, col in zip(table.classes, solution):
-        for e in cls:
-            color_by_edge[e] = col + 1
-    coloring = EdgeColoring(g, tuple(color_by_edge[e] for e in g.edges))
-    ok, _ = is_md_coloring(g, coloring)
-    if not ok:
-        raise RuntimeError(
-            "search accepted a leaf that fails full verification; "
-            "this is a solver bug"
-        )
+    coloring = merge_to_k(result.certificate, k)
+    if not is_md_coloring(g, coloring)[0]:
+        raise RuntimeError("merged coloring fails verification; this is a solver bug")
     return coloring
 
 
@@ -358,12 +348,17 @@ def _solve_connected(
     upper, upper_name = md_upper_bound(g, cfg, _budget=budget)
     lower, lower_name = md_lower_bound(g)
     trail = [(upper_name, upper), (lower_name, lower)]
-    table = _SepTable(g) if upper > 1 else None
-    for k in range(upper, 0, -1):
-        col = md_feasible(g, k, cfg, _budget=budget, _table=table)
-        if col is not None:
-            return k, col, trail
-    raise AssertionError("the one-color coloring always separates")
+    if upper == 1:
+        return 1, trivial_coloring(g), trail
+    table = _SepTable(g)
+    colors = [0] * g.m
+    for cls, col in zip(table.classes, _search(table, upper, budget)):
+        for e in cls:
+            colors[g.edge_index[e]] = col + 1
+    coloring = EdgeColoring(g, tuple(colors))
+    if not is_md_coloring(g, coloring)[0]:
+        raise RuntimeError("search leaf fails full verification; this is a solver bug")
+    return coloring.k, coloring, trail
 
 
 def md_exact(
@@ -372,7 +367,7 @@ def md_exact(
     """Exact md with a verified extremal coloring.
 
     Splits into blocks (md adds over blocks, and bridges contribute 1 each),
-    solves each non-trivial block by descending feasibility, then assembles a
+    solves each non-trivial block by one branch-and-bound, then assembles a
     whole-graph coloring from the block colorings on disjoint palettes.  The
     assembled certificate is re-verified before returning.  A bound's
     sub-solve passes its caller's budget as `_budget`, so stats["nodes"] and

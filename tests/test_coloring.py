@@ -277,3 +277,10 @@ class TestJson:
     def test_color_count_mismatch(self):
         with pytest.raises(ValueError):
             coloring_from_json('{"graph6": "Bw", "colors": [1, 2]}')
+
+    @pytest.mark.parametrize(
+        "colors", ['[1.7, 2, 1]', '"121"', '[true, 2, 1]', '["1", "2", "1"]']
+    )
+    def test_malformed_colors(self, colors):
+        with pytest.raises(ValueError):
+            coloring_from_json('{"graph6": "Bw", "colors": %s}' % colors)

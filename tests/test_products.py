@@ -19,9 +19,9 @@ C6 = cycle_graph(6).graph
 @pytest.mark.parametrize(
     "g, h, kind, md, nodes",
     [
-        (C5, C5, ProductKind.CARTESIAN, 4, 2169),
-        (C6, C6, ProductKind.CARTESIAN, 6, 27107),
-        (C5, C5, ProductKind.TENSOR, 4, 18857),
+        (C5, C5, ProductKind.CARTESIAN, 4, 1221),
+        (C6, C6, ProductKind.CARTESIAN, 6, 8319),
+        (C5, C5, ProductKind.TENSOR, 4, 6030),
     ],
     ids=["c5_box_c5", "c6_box_c6", "c5_x_c5"],
 )

@@ -46,7 +46,7 @@ def connected_graphs(orders, max_edges=None):
 
 
 # Hub 0 joined by paths of length two to the 4-cycle 5-6-7-8: md 2.  Its
-# soft-layer bound solves C4 with four pendant edges (md 6, 4 search nodes),
+# soft-layer bound solves C4 with four pendant edges (md 6, 3 search nodes),
 # which loses to the half-order bound 4.
 HUB_AND_C4 = graph(
     9,
@@ -144,16 +144,16 @@ class TestBudgets:
     def test_soft_layer_sub_solve_is_charged(self):
         result = md_exact(HUB_AND_C4)
         assert result.value == 2
-        # 1,986 nodes of main search plus 4 in the soft-layer sub-solve.
-        assert result.stats["nodes"] == 1990
-        assert md_exact(HUB_AND_C4, SearchConfig(node_budget=1990)).value == 2
+        # 1,228 nodes of main search plus 3 in the soft-layer sub-solve.
+        assert result.stats["nodes"] == 1231
+        assert md_exact(HUB_AND_C4, SearchConfig(node_budget=1231)).value == 2
         with pytest.raises(SearchBudgetExceeded):
-            md_exact(HUB_AND_C4, SearchConfig(node_budget=1989))
+            md_exact(HUB_AND_C4, SearchConfig(node_budget=1230))
 
     def test_upper_bound_sub_solve_honors_budget(self):
         with pytest.raises(SearchBudgetExceeded):
-            md_upper_bound(HUB_AND_C4, SearchConfig(node_budget=3))
-        assert md_upper_bound(HUB_AND_C4, SearchConfig(node_budget=4)) == (4, "half-order")
+            md_upper_bound(HUB_AND_C4, SearchConfig(node_budget=2))
+        assert md_upper_bound(HUB_AND_C4, SearchConfig(node_budget=3)) == (4, "half-order")
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_census_passes_config(self, jobs):
@@ -175,7 +175,6 @@ class TestLayerHooks:
         "mono_classes",
         "md_upper_bound",
         "md_lower_bound",
-        "md_feasible",
         "is_md_coloring",
         "md_exact",
     )
@@ -196,6 +195,9 @@ class TestLayerHooks:
         assert solver.md_exact(cycle(6)).value == 3
         assert calls["md_exact"] == 2
         assert all(calls[name] > 0 for name in self.LAYERS), calls
+        # md_feasible merges the certificate of a solve made through the module.
+        assert solver.md_feasible(cycle(6), 2).k == 2
+        assert calls["md_exact"] == 4
 
     def test_census_solves_through_the_module(self, monkeypatch):
         calls = {"top": 0, "nested": 0}
