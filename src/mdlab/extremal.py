@@ -8,9 +8,9 @@ threshold.
 
 The enumeration is augmentation with canonical-form rejection: graphs grow one
 vertex at a time (attached to a nonempty subset, so every prefix stays
-connected), and duplicates are rejected by the minimal adjacency bit-string
-over all vertex permutations, evaluated as a vectorized gather + pack in
-numpy.
+connected), and duplicates are rejected by a canonical form: the least
+adjacency bit-string over the leaves of a partition-refinement search
+(`_canonical`), in pure Python.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Iterator
-
-import numpy as np
 
 # md_exact is looked up on the module at each call, so a wrapper installed on
 # solver.md_exact sees every census solve.
@@ -84,47 +80,78 @@ def _pair_pos(u: int, v: int) -> int:
     return v * (v - 1) // 2 + u
 
 
-@lru_cache(maxsize=None)
-def _perm_table(k: int) -> np.ndarray:
-    """For each permutation, where each pair position reads its bit from."""
-    nbits = k * (k - 1) // 2
-    table = np.empty((math.factorial(k), nbits), dtype=np.int16)
-    for pi, order in enumerate(permutations(range(k))):
-        # order[newpos] = old vertex; bit at new pos(i, j) comes from the old
-        # pair (order[i], order[j]).
-        for v in range(1, k):
-            for u in range(v):
-                a, b = order[u], order[v]
-                if a > b:
-                    a, b = b, a
-                table[pi, _pair_pos(u, v)] = _pair_pos(a, b)
-    return table
+def _canonical(bits: int, k: int) -> int:
+    """Least bit-string over the leaves of a refinement search on a graph.
 
+    `bits` holds a k-vertex graph in the `_pair_pos` encoding.  The search
+    follows McKay & Piperno, "Practical graph isomorphism II" (2014).  Each
+    node is an ordered partition of the vertices, refined until equitable:
+    every cell splits by its vertices' neighbour counts into a splitter (the
+    vertex set, then each individualized vertex and each new piece), and the
+    pieces are ordered by decreasing count.  Each vertex of the first
+    non-singleton cell is then individualized in turn, as a singleton cell
+    just before the rest of its cell.  A discrete partition is a leaf and
+    relabels the graph: the vertex in cell i becomes vertex i.
 
-def _canonical_batch(children: list[int], k: int) -> list[int]:
-    """Minimal bit-string (as a packed int) over all relabelings, per child."""
-    nbits = k * (k - 1) // 2
-    if nbits == 0:
-        return [0] * len(children)
-    table = _perm_table(k)
-    positions = np.arange(nbits, dtype=np.int64)
-    out: list[int] = []
-    cand_chunk = max(1, 2_000_000 // max(1, table.shape[0] * nbits))
-    perm_chunk = 4096
-    for lo in range(0, len(children), cand_chunk):
-        block = np.asarray(children[lo : lo + cand_chunk], dtype=np.int64)
-        bits = ((block[:, None] >> positions) & 1).astype(np.int8)
-        best: np.ndarray | None = None
-        for plo in range(0, table.shape[0], perm_chunk):
-            sub = table[plo : plo + perm_chunk]
-            permuted = bits[:, sub]  # (C, P, nbits)
-            packed = np.zeros(permuted.shape[:2], dtype=np.int64)
-            for b in range(nbits):
-                packed |= permuted[:, :, b].astype(np.int64) << b
-            mins = packed.min(axis=1)
-            best = mins if best is None else np.minimum(best, mins)
-        out.extend(int(x) for x in best)
-    return out
+    The minimum depends only on the isomorphism class because no step reads
+    a vertex id: splits, piece order and the target cell follow from
+    adjacency counts and cell positions.  Relabelling the input therefore
+    relabels the whole search tree the same way, and each leaf gives the same
+    bit-string as its image.  If every vertex of the target cell is a twin of
+    its first vertex (equal neighbourhoods, ignoring each other), swapping
+    two of them is an automorphism that fixes the partition and maps one
+    subtree onto the other, so branching on the first vertex alone leaves
+    the set of leaf bit-strings unchanged.  This keeps stars and cliques at
+    one leaf.
+    """
+    adj = [0] * k
+    for v in range(1, k):
+        for u in range(v):
+            if bits >> _pair_pos(u, v) & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+
+    def search(cells: list[tuple[int, ...]], splitters: list[int]) -> int:
+        for w in splitters:
+            if len(cells) == k:
+                break
+            split = []
+            for cell in cells:
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                pieces: dict[int, list[int]] = {}
+                for v in cell:
+                    pieces.setdefault((adj[v] & w).bit_count(), []).append(v)
+                if len(pieces) == 1:
+                    split.append(cell)
+                    continue
+                # Higher counts first, so at the root denser vertices take
+                # lower labels; md_exact searches fewer nodes on such graphs.
+                for count in sorted(pieces, reverse=True):
+                    split.append(tuple(pieces[count]))
+                    # Each new piece joins the splitters this loop still reads.
+                    splitters.append(sum(1 << v for v in pieces[count]))
+            cells = split
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            code, pos = 0, 0  # pos runs through _pair_pos(i, j) in order
+            for j in range(1, k):
+                row = adj[cells[j][0]]
+                for i in range(j):
+                    code |= (row >> cells[i][0] & 1) << pos
+                    pos += 1
+            return code
+        cell = cells[target]
+        first = cell[0]
+        twins = all(adj[first] & ~(1 << w) == adj[w] & ~(1 << first) for w in cell[1:])
+        head, tail = cells[:target], cells[target + 1 :]
+        return min(
+            search(head + [(v,), tuple(w for w in cell if w != v)] + tail, [1 << v])
+            for v in (cell[:1] if twins else cell)
+        )
+
+    return search([tuple(range(k))], [(1 << k) - 1])
 
 
 def _graph_from_bits(n: int, bits: int) -> Graph:
@@ -141,8 +168,10 @@ def enumerate_connected(n: int, max_edges: int | None = None) -> Iterator[Graph]
 
     Optionally restricted to at most max_edges edges (pruned in flight: a
     connected prefix on k vertices can carry at most max_edges - (n - k)
-    edges, since every later vertex brings at least one).  Representatives
-    come out in increasing canonical bit-string order.
+    edges, since every later vertex brings at least one).  Each level
+    attaches a new vertex to every nonempty subset of every representative
+    of the level below and keeps the distinct `_canonical` forms.
+    Representatives come out in increasing canonical bit-string order.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}, got {n}")
@@ -157,7 +186,7 @@ def enumerate_connected(n: int, max_edges: int | None = None) -> Iterator[Graph]
                 if budget is not None and pm + subset.bit_count() > budget:
                     continue
                 children.add(parent | (subset << base))
-        level = sorted(set(_canonical_batch(sorted(children), k)))
+        level = sorted({_canonical(child, k) for child in children})
     for bits in level:
         yield _graph_from_bits(n, bits)
 

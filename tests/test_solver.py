@@ -109,8 +109,9 @@ class TestExactAgainstOracle:
             assert md_exact(g).value == md_oracle(g), g.edges
 
     def test_feasible_exactly_up_to_md_at_every_k(self):
-        # The descent proves every k above md infeasible; this checks each k
-        # on its own, including the colorings the pruning must not cut off.
+        # md_feasible answers from md_exact's value and merges its certificate
+        # down to k colors; this checks each k against the oracle, including
+        # the merged colorings below md.
         for g in connected_graphs(range(2, 6)):
             md = md_oracle(g)
             for kk in range(1, g.m + 1):
