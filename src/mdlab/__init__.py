@@ -11,9 +11,7 @@ from mdlab.graph import (
     Graph,
     Graph6Error,
     INFINITE,
-    VertexMap,
     components,
-    delete_vertex,
     from_graph6,
     graph,
     is_bipartite,
@@ -28,9 +26,7 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "INFINITE",
-    "VertexMap",
     "components",
-    "delete_vertex",
     "from_graph6",
     "graph",
     "is_bipartite",

@@ -1,16 +1,19 @@
 """Structural analyses feeding the md solver: blocks, matching cuts, and
 degree-two layer reductions.
 
-md adds over blocks, so the solver works block by block; a matching cut gives
-a two-color separating coloring; and soft_layer_reduce yields the smaller
-graph whose md the solver's soft-layer rule uses as an upper bound.
+md adds over blocks, so the solver works block by block; one depth-first
+search both checks connectivity and yields the blocks and cut vertices, and a
+block's sorted vertex tuple is the only map between its local and original
+vertex ids.  A matching cut gives a two-color separating coloring; and
+soft_layer_reduce yields the smaller graph whose md the solver's soft-layer
+rule uses as an upper bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mdlab.graph import Graph, VertexMap, delete_vertex, graph, is_connected
+from mdlab.graph import Graph, graph
 
 MATCHING_CUT_CAP = 16
 
@@ -23,109 +26,121 @@ class BlockDecomposition:
         blocks: vertex set of each block, sorted; blocks ordered by smallest
             contained vertex (then lexicographically).
         cut_vertices: sorted tuple of cut vertices.
-        block_graphs: for each block, the induced Graph and the old -> local
-            vertex relabeling.
+        block_graphs: for each block, the induced Graph on local ids, where
+            local vertex i of block b is original vertex blocks[b][i].
     """
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
-    block_graphs: tuple[tuple[Graph, VertexMap], ...]
+    block_graphs: tuple[Graph, ...]
 
     @property
     def block_edge_sets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Edges of the original graph belonging to each block."""
-        out = []
-        for g_block, vmap in self.block_graphs:
-            inv = {new: old for old, new in vmap.items()}
-            out.append(
-                tuple(
-                    sorted(
-                        tuple(sorted((inv[a], inv[b]))) for a, b in g_block.edges
-                    )
-                )
-            )
-        return tuple(out)
+        """Edges of the original graph belonging to each block, sorted.
+
+        The local-to-original map is increasing, so it keeps each edge's
+        endpoint order and the edge order.
+        """
+        return tuple(
+            tuple((verts[a], verts[b]) for a, b in bg.edges)
+            for verts, bg in zip(self.blocks, self.block_graphs)
+        )
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Hopcroft-Tarjan biconnected components of a connected graph.
 
-    Every edge lands in exactly one block; K_1 has no blocks.
+    One depth-first search from vertex 0; a vertex it leaves undiscovered
+    means g is disconnected, which raises ValueError.  Every edge lands in
+    exactly one block; K_0 and K_1 have no blocks.
     """
-    if not is_connected(g):
-        raise ValueError("block decomposition requires a connected graph")
     n = g.n
+    if n == 0:
+        return BlockDecomposition((), (), ())
     disc = [-1] * n
     low = [0] * n
     parent_edge = [-1] * n
     edge_stack: list[tuple[int, int]] = []
     block_edge_lists: list[list[tuple[int, int]]] = []
     cut: set[int] = set()
-    timer = 0
+    # Iterative DFS; each frame is (vertex, neighbor iterator index).
+    stack = [(0, 0)]
+    disc[0] = 0
+    timer = 1
+    root_children = 0
+    while stack:
+        v, i = stack[-1]
+        nbrs = g.adjacency[v]
+        if i < len(nbrs):
+            stack[-1] = (v, i + 1)
+            w = nbrs[i]
+            if disc[w] == -1:
+                edge_stack.append((min(v, w), max(v, w)))
+                parent_edge[w] = v
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, 0))
+                if v == 0:
+                    root_children += 1
+            elif w != parent_edge[v] and disc[w] < disc[v]:
+                edge_stack.append((min(v, w), max(v, w)))
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    # u closes a block containing the tree edge (u, v).
+                    blk: list[tuple[int, int]] = []
+                    marker = (min(u, v), max(u, v))
+                    while True:
+                        e = edge_stack.pop()
+                        blk.append(e)
+                        if e == marker:
+                            break
+                    block_edge_lists.append(blk)
+                    if u != 0 or root_children > 1:
+                        cut.add(u)
+    if timer < n:
+        raise ValueError("block decomposition requires a connected graph")
 
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        # Iterative DFS; each frame is (vertex, neighbor iterator index).
-        stack = [(root, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            v, i = stack[-1]
-            nbrs = g.adjacency[v]
-            if i < len(nbrs):
-                stack[-1] = (v, i + 1)
-                w = nbrs[i]
-                if disc[w] == -1:
-                    edge_stack.append((min(v, w), max(v, w)))
-                    parent_edge[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, 0))
-                    if v == root:
-                        root_children += 1
-                elif w != parent_edge[v] and disc[w] < disc[v]:
-                    edge_stack.append((min(v, w), max(v, w)))
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        # u closes a block containing the tree edge (u, v).
-                        blk: list[tuple[int, int]] = []
-                        marker = (min(u, v), max(u, v))
-                        while True:
-                            e = edge_stack.pop()
-                            blk.append(e)
-                            if e == marker:
-                                break
-                        block_edge_lists.append(blk)
-                        if u != root or root_children > 1:
-                            cut.add(u)
-        # A lone root with leftover edges should be impossible; the loop above
-        # pops every block at its articulation frame.
-        assert not edge_stack
-
+    local = [0] * n
     records = []
     for blk in block_edge_lists:
         verts = tuple(sorted({x for e in blk for x in e}))
-        vmap: VertexMap = {v: i for i, v in enumerate(verts)}
-        sub = graph(len(verts), [(vmap[a], vmap[b]) for a, b in blk])
-        records.append((verts, sub, vmap))
+        for i, v in enumerate(verts):
+            local[v] = i
+        records.append((verts, graph(len(verts), [(local[a], local[b]) for a, b in blk])))
     records.sort(key=lambda r: r[0])
     return BlockDecomposition(
         blocks=tuple(r[0] for r in records),
         cut_vertices=tuple(sorted(cut)),
-        block_graphs=tuple((r[1], r[2]) for r in records),
+        block_graphs=tuple(r[1] for r in records),
     )
 
 
-def is_two_connected(g: Graph) -> bool:
-    """Connected, at least 3 vertices, and no cut vertex."""
-    return g.n >= 3 and is_connected(g) and not block_decomposition(g).cut_vertices
+def _neighbor_masks(g: Graph) -> list[int]:
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _spans_connected(masks: list[int], vertex_set: int) -> bool:
+    """True when the vertices in the bitmask induce a connected subgraph
+    (the empty set counts as connected)."""
+    seen = frontier = vertex_set & -vertex_set
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= masks[bit.bit_length() - 1]
+        frontier = reach & vertex_set & ~seen
+        seen |= frontier
+    return seen == vertex_set
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +157,9 @@ def find_matching_cuts(
     matching bonds, i.e. the minimal matching cuts.  Results are sorted by
     size then lexicographically.
     """
-    if not is_connected(g):
+    masks = _neighbor_masks(g)
+    full = (1 << g.n) - 1
+    if not _spans_connected(masks, full):
         raise ValueError("matching cuts are defined for connected graphs")
     if g.n > MATCHING_CUT_CAP:
         raise ValueError(
@@ -150,27 +167,6 @@ def find_matching_cuts(
         )
     if g.n < 2:
         return []
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    full = (1 << g.n) - 1
-
-    def side_connected(side_mask: int) -> bool:
-        start = side_mask & -side_mask
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= masks[b.bit_length() - 1]
-            frontier = nxt & side_mask & ~seen
-            seen |= frontier
-        return seen == side_mask
-
     found: set[tuple[tuple[int, int], ...]] = set()
     # Vertex 0 always on the S side; complements give the same cut.
     for t in range(1 << (g.n - 1)):
@@ -191,7 +187,7 @@ def find_matching_cuts(
         if not ok or not cross:
             continue
         if minimal_only and not (
-            side_connected(s_mask) and side_connected(full & ~s_mask)
+            _spans_connected(masks, s_mask) and _spans_connected(masks, full & ~s_mask)
         ):
             continue
         found.add(tuple(sorted(cross)))
@@ -205,25 +201,33 @@ def find_matching_cuts(
 def soft_layer_reduce(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Greedily strip vertices of current degree >= 2 that are not cut vertices.
 
-    Every removal keeps the graph connected, so each prefix of the returned
-    sequence is a valid layer.  Always removes the smallest eligible id; the
-    sequence reports original ids.
+    A vertex is eligible when it is alive, has at least two alive neighbors,
+    and the alive set without it stays connected.  Each round removes the
+    smallest eligible id, so every prefix of the returned sequence (original
+    ids) is a valid layer.  The survivors keep their relative order in the
+    reduced graph.
     """
-    if not is_connected(g):
+    masks = _neighbor_masks(g)
+    alive = (1 << g.n) - 1
+    if not _spans_connected(masks, alive):
         raise ValueError("layer reduction requires a connected graph")
-    current = g
-    to_orig = list(range(g.n))
     removed: list[int] = []
-    while current.n > 1:
-        cuts = set(block_decomposition(current).cut_vertices)
-        victim = -1
-        for v in range(current.n):
-            if current.degree(v) >= 2 and v not in cuts:
-                victim = v
+    while True:
+        for v in range(g.n):
+            bit = 1 << v
+            if (
+                alive & bit
+                and (masks[v] & alive).bit_count() >= 2
+                and _spans_connected(masks, alive ^ bit)
+            ):
+                removed.append(v)
+                alive ^= bit
                 break
-        if victim == -1:
+        else:
             break
-        removed.append(to_orig[victim])
-        del to_orig[victim]
-        current, _ = delete_vertex(current, victim)
-    return current, tuple(removed)
+    keep = [v for v in range(g.n) if (alive >> v) & 1]
+    local = {v: i for i, v in enumerate(keep)}
+    reduced = graph(
+        len(keep), [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
+    )
+    return reduced, tuple(removed)

@@ -17,7 +17,8 @@ from mdlab.graph import Graph, from_graph6, is_connected, to_graph6
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Colors aligned with the graph's canonical edge order, values >= 1."""
+    """Colors aligned with the graph's canonical edge order, integers >= 1
+    (bools are rejected)."""
 
     graph: Graph
     colors: tuple[int, ...]
@@ -28,7 +29,7 @@ class EdgeColoring:
                 f"{len(self.colors)} colors for {self.graph.m} edges"
             )
         for c in self.colors:
-            if not isinstance(c, int) or c < 1:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ValueError(f"colors must be integers >= 1, got {c!r}")
 
     @property
@@ -178,8 +179,6 @@ def coloring_from_json(text: str) -> EdgeColoring:
         colors = data["colors"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"coloring JSON needs graph6 and colors fields: {exc}")
-    if not isinstance(colors, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in colors
-    ):
+    if not isinstance(colors, list):
         raise ValueError(f"colors must be a JSON list of integers, got {colors!r}")
     return EdgeColoring(from_graph6(g6), tuple(colors))

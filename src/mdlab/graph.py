@@ -5,9 +5,6 @@ sorted tuple of pairs (u, v) with u < v, so two graphs are equal iff they have
 the same vertex count and the same edge tuple (canonical form).  All operations
 are pure functions returning fresh Graph values; instances are safe to share
 between workers.
-
-Vertex deletion relabels survivors order-preservingly and returns the
-old-id -> new-id mapping alongside the graph.
 """
 
 from __future__ import annotations
@@ -15,10 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-#: Old vertex id -> new vertex id.  Total on the surviving vertices, and the
-#: images always cover 0..n'-1 exactly.  Deleted vertices are absent.
-VertexMap = dict[int, int]
 
 #: Returned by odd_girth for bipartite graphs.
 INFINITE = math.inf
@@ -141,23 +134,6 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vertex deletion
-
-
-def delete_vertex(g: Graph, v: int) -> tuple[Graph, VertexMap]:
-    """Remove v, relabel survivors order-preservingly, and report the relabeling."""
-    g._check_vertex(v)
-    vmap: VertexMap = {}
-    for old in range(g.n):
-        if old != v:
-            vmap[old] = old if old < v else old - 1
-    new_edges = [
-        (vmap[a], vmap[b]) for a, b in g.edges if a != v and b != v
-    ]
-    return graph(g.n - 1, new_edges), vmap
-
-
-# ---------------------------------------------------------------------------
 # Bipartiteness and odd girth
 
 
@@ -219,6 +195,8 @@ def from_graph6(text: str) -> Graph:
     the adjacency matrix, column by column, packed into 6-bit groups, each
     group + 63.  Any nonzero padding bit is an error.
     """
+    if not isinstance(text, str):
+        raise Graph6Error(f"graph6 text must be a string, got {text!r}")
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 string")

@@ -1,8 +1,14 @@
 """The four standard graph products and the Cartesian product coloring.
 
 Vertex (u, v) of a product maps to id u * |H| + v (row-major).  The product
-operation itself is definitional and total; the theorem-shaped helpers
+operation itself is definitional and total; the theorem-shaped helper
 (tensor_md_upper) enforces its own preconditions.
+
+tests/test_products.py confirms, for every pair of connected factors on 2-4
+vertices, that md(G box H) = md(G) + md(H), attained by cartesian_md_coloring
+of the factors' extremal colorings, and that the strong and lexicographic
+products have md 1; and, for every connected tensor product of factors on 3-5
+vertices with minimum degree >= 2, that md(G x H) <= tensor_md_upper(G, H).
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ decomposes into blocks (md adds over blocks), bounds each block from above,
 and finds each block's md with one branch-and-bound search that maximizes
 the number of colors opened.  Merging color classes keeps a coloring
 separating, so md_feasible(g, k) merges the extremal coloring to k colors.
+The block decomposition is also the connectivity check: md_exact and
+md_upper_bound raise ValueError through it on a disconnected graph.
 
 The upper bound is the least of four rules: n - 1 (vertex-bound), n/2 for a
 2-connected block (half-order), the number of forced-monochromatic edge
@@ -28,7 +30,8 @@ pair.  sep is memoized once per block and shared by every branch of its
 search, so a node costs at most one table lookup per opened color.
 
 md_oracle is the independent cross-check: it enumerates raw set partitions of
-the edge set, no quotient, no blocks, and shares no pruning with md_exact.
+the edge set, no quotient, no blocks, and prunes only by counting parts, so it
+shares no pruning with md_exact.
 
 Each layer (block_decomposition, mono_classes, md_upper_bound, md_lower_bound,
 is_md_coloring, md_exact) is called through this module's globals, so a
@@ -41,7 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from mdlab.analysis import block_decomposition, is_two_connected, soft_layer_reduce
+from mdlab.analysis import block_decomposition, soft_layer_reduce
 from mdlab.coloring import EdgeColoring, is_md_coloring, merge_to_k, trivial_coloring
 from mdlab.graph import Graph, is_connected
 
@@ -187,12 +190,14 @@ def md_upper_bound(
     The soft-layer rule solves a smaller graph exactly; its search nodes are
     charged to `_budget` (the caller's solve) or, without one, to a fresh
     budget from cfg.  Running out raises SearchBudgetExceeded rather than
-    loosening the bound.
+    loosening the bound.  One block decomposition checks connectivity (it
+    raises ValueError on a disconnected graph) and, when it finds no cut
+    vertex, admits the half-order rule.
     """
-    if not is_connected(g) or g.n < 2:
+    if g.n < 2:
         raise ValueError("bounds are defined for connected graphs on >= 2 vertices")
     best, name = g.n - 1, "vertex-bound"
-    if is_two_connected(g) and g.n // 2 < best:
+    if not block_decomposition(g).cut_vertices and g.n // 2 < best:
         best, name = g.n // 2, "half-order"
     if best > 1:
         count = len(mono_classes(g))
@@ -374,8 +379,6 @@ def md_exact(
     the budgets cover the whole solve.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if not is_connected(g):
-        raise ValueError("md is defined for connected graphs")
     started = time.perf_counter()
     budget = _budget if _budget is not None else _Budget(cfg)
     if g.n <= 1:
@@ -392,7 +395,7 @@ def md_exact(
     trail: list[tuple[str, int]] = []
     colors = [0] * g.m
     solved: list[int] = []
-    for bi, (bg, vmap) in enumerate(dec.block_graphs):
+    for bi, (verts, bg) in enumerate(zip(dec.blocks, dec.block_graphs)):
         prefix = f"block{bi}:" if multi else ""
         try:
             if bg.n == 2:
@@ -407,17 +410,12 @@ def md_exact(
                 str(exc),
                 nodes=budget.nodes,
                 lower=done + remaining,
-                upper=done + sum(
-                    b.n - 1 for (b, _) in dec.block_graphs[len(solved):]
-                ),
+                upper=done + sum(len(b) - 1 for b in dec.blocks[len(solved):]),
             ) from exc
         solved.append(value)
         trail.extend((prefix + name, val) for name, val in block_trail)
-        inv = {new: old for old, new in vmap.items()}
-        for e_local, c in zip(bg.edges, block_col.colors):
-            a, b = inv[e_local[0]], inv[e_local[1]]
-            orig = (a, b) if a < b else (b, a)
-            colors[g.edge_index[orig]] = c + offset
+        for (u, v), c in zip(bg.edges, block_col.colors):
+            colors[g.edge_index[(verts[u], verts[v])]] = c + offset
         offset += value
         total += value
     if multi:
@@ -441,39 +439,16 @@ def md_exact(
 # Independent oracle
 
 
-def restricted_growth_strings(m: int):
-    """All set partitions of range(m) as restricted growth strings.
-
-    Yields the same list object each time; copy if you keep it.  The count is
-    the m-th Bell number.
-    """
-    if m == 0:
-        yield []
-        return
-    a = [0] * m
-    b = [1] * m  # b[i] = 1 + max(a[:i]); a[i] may range over 0..b[i]
-    while True:
-        yield a
-        j = m - 1
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        nb = b[j] + 1 if a[j] == b[j] else b[j]
-        for t in range(j + 1, m):
-            a[t] = 0
-            b[t] = nb
-
-
 def md_oracle(g: Graph) -> int:
     """Exhaustive md over every set partition of the raw edge set.
 
     No edge quotient, no block splitting, no shared pruning with md_exact:
-    every partition is tested for the separation property, memoizing the
-    separated-pair bitmask of each edge subset (partitions that cannot beat
-    the best value found are skipped, which cannot change the maximum).
-    Capped at 10 edges.
+    edges are placed one at a time into an existing part or a new one, and
+    every complete partition is tested for the separation property,
+    memoizing the separated-pair bitmask of each edge subset.  A prefix is
+    skipped when its parts plus the edges left cannot beat the best value
+    found; that is counting only, so it cannot change the maximum.  Capped
+    at 10 edges.
     """
     if not is_connected(g):
         raise ValueError("md is defined for connected graphs")
@@ -531,18 +506,28 @@ def md_oracle(g: Graph) -> int:
         return mask
 
     best = 0
-    for a in restricted_growth_strings(m):
-        parts = max(a) + 1
-        if parts <= best:
-            continue
-        subsets = [0] * parts
-        for i, c in enumerate(a):
-            subsets[c] |= 1 << i
-        got = 0
-        for s in subsets:
-            got |= separation_mask(s)
-            if got == full:
-                break
-        if got == full:
-            best = parts
+    parts: list[int] = []  # edge-subset bitmask of each part
+
+    def place(i: int) -> None:
+        nonlocal best
+        if len(parts) + (m - i) <= best:
+            return
+        if i == m:
+            got = 0
+            for s in parts:
+                got |= separation_mask(s)
+                if got == full:
+                    best = len(parts)
+                    return
+            return
+        bit = 1 << i
+        for j in range(len(parts)):
+            parts[j] |= bit
+            place(i + 1)
+            parts[j] ^= bit
+        parts.append(bit)
+        place(i + 1)
+        parts.pop()
+
+    place(0)
     return best

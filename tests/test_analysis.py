@@ -3,12 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from mdlab.analysis import (
-    block_decomposition,
-    find_matching_cuts,
-    is_two_connected,
-    soft_layer_reduce,
-)
+from mdlab.analysis import block_decomposition, find_matching_cuts, soft_layer_reduce
 from mdlab.graph import components, graph, is_connected
 
 
@@ -64,6 +59,10 @@ class TestBlocks:
         dec = block_decomposition(graph(1, []))
         assert dec.blocks == ()
 
+    def test_empty_graph_has_no_blocks(self):
+        dec = block_decomposition(graph(0, []))
+        assert dec.blocks == () and dec.block_graphs == ()
+
     def test_edge_partition_over_random_graphs(self):
         rng = random.Random(99)
         for _ in range(60):
@@ -72,19 +71,20 @@ class TestBlocks:
             all_edges = [e for es in dec.block_edge_sets for e in es]
             assert sorted(all_edges) == list(g.edges)
             assert len(set(all_edges)) == g.m
-            # Non-trivial blocks are 2-connected, pairs share at most a vertex.
-            for (bg, _), verts in zip(dec.block_graphs, dec.blocks):
+            # Local vertex i of a block is its i-th smallest original vertex.
+            for bg, verts, edges in zip(dec.block_graphs, dec.blocks, dec.block_edge_sets):
+                assert bg.n == len(verts)
+                assert set(edges) == {
+                    e for e in g.edges if e[0] in verts and e[1] in verts
+                }
+                # Non-trivial blocks are 2-connected.
                 if len(verts) >= 3:
-                    assert is_two_connected(bg)
+                    assert block_decomposition(bg).cut_vertices == ()
+            # Pairs of blocks share at most a vertex, and it is a cut vertex.
             for b1, b2 in combinations(dec.blocks, 2):
                 shared = set(b1) & set(b2)
                 assert len(shared) <= 1
                 assert shared <= set(dec.cut_vertices)
-
-    def test_two_connected(self):
-        assert is_two_connected(cycle(4))
-        assert not is_two_connected(path(4))
-        assert not is_two_connected(k(2))
 
 
 class TestMatchingCuts:
@@ -174,22 +174,41 @@ class TestSoftLayer:
         degs = sorted(reduced.degree(v) for v in range(5))
         assert degs == [1, 1, 2, 2, 2]
 
+    def test_rejects_disconnected(self):
+        with pytest.raises(ValueError):
+            soft_layer_reduce(graph(4, [(0, 1), (2, 3)]))
+
     def test_prefixes_are_valid_layers(self):
-        # Recheck the definition against the original graph step by step.
-        from mdlab.graph import delete_vertex
+        # Recheck the definition against the original graph step by step: a
+        # vertex is eligible when it is alive, has >= 2 alive neighbors, and
+        # the alive set without it stays connected.
+        def connected(g, vertex_set):
+            if not vertex_set:
+                return True
+            start = min(vertex_set)
+            seen, todo = {start}, [start]
+            while todo:
+                for y in g.adjacency[todo.pop()]:
+                    if y in vertex_set and y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            return seen == vertex_set
+
+        def eligible(g, alive, v):
+            alive_nbrs = sum(1 for y in g.adjacency[v] if y in alive)
+            return alive_nbrs >= 2 and connected(g, alive - {v})
 
         rng = random.Random(77)
         for _ in range(25):
             g = random_connected(rng.randrange(3, 9), rng.uniform(0.3, 0.9), rng)
-            _, seq = soft_layer_reduce(g)
-            current = g
-            to_cur = {v: v for v in range(g.n)}
-            for orig in seq:
-                v = to_cur[orig]
-                assert current.degree(v) >= 2
-                nxt, vmap = delete_vertex(current, v)
-                assert is_connected(nxt)
-                to_cur = {
-                    o: vmap[c] for o, c in to_cur.items() if c != v
-                }
-                current = nxt
+            reduced, seq = soft_layer_reduce(g)
+            alive = set(range(g.n))
+            for v in seq:
+                assert v == min(u for u in alive if eligible(g, alive, u))
+                alive.remove(v)
+            assert not any(eligible(g, alive, u) for u in alive)
+            keep = sorted(alive)
+            assert reduced == graph(
+                len(keep),
+                [(keep.index(u), keep.index(v)) for u, v in g.edges if u in alive and v in alive],
+            )

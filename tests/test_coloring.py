@@ -13,7 +13,7 @@ from mdlab.coloring import (
     normalize,
     trivial_coloring,
 )
-from mdlab.graph import components, graph, is_connected
+from mdlab.graph import Graph6Error, components, from_graph6, graph, is_connected
 
 
 def k(n):
@@ -284,3 +284,13 @@ class TestJson:
     def test_malformed_colors(self, colors):
         with pytest.raises(ValueError):
             coloring_from_json('{"graph6": "Bw", "colors": %s}' % colors)
+
+    def test_graph6_that_is_not_a_string(self):
+        with pytest.raises(Graph6Error):
+            from_graph6(5)
+        with pytest.raises(ValueError):
+            coloring_from_json('{"graph6": 5, "colors": []}')
+
+    def test_bool_colors_rejected_by_the_coloring(self):
+        with pytest.raises(ValueError):
+            EdgeColoring(k(3), (True, True, True))

@@ -7,7 +7,6 @@ from mdlab.graph import (
     Graph6Error,
     INFINITE,
     components,
-    delete_vertex,
     from_graph6,
     graph,
     is_bipartite,
@@ -145,22 +144,6 @@ class TestConnectivity:
 
     def test_empty_graph_connected_by_convention(self):
         assert is_connected(graph(0, []))
-
-
-class TestTransforms:
-    def test_delete_vertex_k4(self):
-        g, vmap = delete_vertex(k(4), 3)
-        assert g == k(3)
-        assert vmap == {0: 0, 1: 1, 2: 2}
-
-    def test_delete_vertex_relabels_order_preservingly(self):
-        g, vmap = delete_vertex(path(4), 1)
-        assert vmap == {0: 0, 2: 1, 3: 2}
-        assert g == graph(3, [(1, 2)])
-
-    def test_delete_star_center(self):
-        g, _ = delete_vertex(graph(4, [(0, 1), (0, 2), (0, 3)]), 0)
-        assert g == graph(3, [])
 
 
 class TestOddGirth:

@@ -1,17 +1,42 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from mdlab.coloring import is_md_coloring
+from mdlab.extremal import enumerate_connected
 from mdlab.families import cycle_graph
+from mdlab.graph import is_connected, min_degree
 from mdlab.products import (
     ProductKind,
     cartesian_md_coloring,
     product,
     tensor_md_upper,
 )
-from mdlab.solver import md_exact
+from mdlab.solver import md_exact, md_oracle
 
 C5 = cycle_graph(5).graph
 C6 = cycle_graph(6).graph
+
+# Every unordered pair of connected factors on 2-4 vertices (9 graphs, 45
+# pairs), and every pair of connected factors on 3-5 vertices with minimum
+# degree >= 2 (15 graphs) whose tensor product is connected (117 pairs).
+SMALL_PAIRS = list(
+    combinations_with_replacement(
+        [g for n in (2, 3, 4) for g in enumerate_connected(n)], 2
+    )
+)
+TENSOR_PAIRS = [
+    (g, h)
+    for g, h in combinations_with_replacement(
+        [g for n in (3, 4, 5) for g in enumerate_connected(n) if min_degree(g) >= 2], 2
+    )
+    if is_connected(product(g, h, ProductKind.TENSOR))
+]
+
+
+def pair_id(pair):
+    """Edge lists of the two factors, e.g. "01.12_01.02.12"."""
+    return "_".join(".".join(f"{u}{v}" for u, v in x.edges) for x in pair)
 
 
 # The search node counts pin the search order as well as the values: a change
@@ -45,3 +70,28 @@ def test_cartesian_coloring_uses_md_plus_md_colors():
 
 def test_tensor_upper_bound_holds():
     assert tensor_md_upper(C5, C5) >= 4
+
+
+def test_sweep_sizes():
+    assert len(SMALL_PAIRS) == 45
+    assert len(TENSOR_PAIRS) == 117
+
+
+@pytest.mark.parametrize("g, h", SMALL_PAIRS, ids=[pair_id(p) for p in SMALL_PAIRS])
+def test_cartesian_md_adds(g, h):
+    # Factor values come from the independent oracle.
+    want = md_oracle(g) + md_oracle(h)
+    assert md_exact(product(g, h, ProductKind.CARTESIAN)).value == want
+    cert = cartesian_md_coloring(g, md_exact(g).certificate, h, md_exact(h).certificate)
+    assert cert.k == want and is_md_coloring(cert.graph, cert)[0]
+
+
+@pytest.mark.parametrize("g, h", SMALL_PAIRS, ids=[pair_id(p) for p in SMALL_PAIRS])
+@pytest.mark.parametrize("kind", [ProductKind.STRONG, ProductKind.LEXICOGRAPHIC])
+def test_strong_and_lexicographic_md_is_one(g, h, kind):
+    assert md_exact(product(g, h, kind)).value == 1
+
+
+@pytest.mark.parametrize("g, h", TENSOR_PAIRS, ids=[pair_id(p) for p in TENSOR_PAIRS])
+def test_tensor_md_within_odd_girth_bound(g, h):
+    assert md_exact(product(g, h, ProductKind.TENSOR)).value <= tensor_md_upper(g, h)

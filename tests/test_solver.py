@@ -15,7 +15,6 @@ from mdlab.solver import (
     md_oracle,
     md_upper_bound,
     mono_classes,
-    restricted_growth_strings,
 )
 
 
@@ -38,6 +37,35 @@ def random_connected(n, p, rng):
         )
         if is_connected(g):
             return g
+
+
+def path(n):
+    return graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def restricted_growth_strings(m):
+    """All set partitions of range(m) as restricted growth strings.
+
+    Yields the same list object each time; copy if you keep it.  The count is
+    the m-th Bell number.
+    """
+    if m == 0:
+        yield []
+        return
+    a = [0] * m
+    b = [1] * m  # b[i] = 1 + max(a[:i]); a[i] may range over 0..b[i]
+    while True:
+        yield a
+        j = m - 1
+        while j > 0 and a[j] == b[j]:
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        nb = b[j] + 1 if a[j] == b[j] else b[j]
+        for t in range(j + 1, m):
+            a[t] = 0
+            b[t] = nb
 
 
 def connected_graphs(orders, max_edges=None):
@@ -103,6 +131,12 @@ class TestMonoClasses:
                 checked += 1
 
 
+@pytest.mark.parametrize("solve", [md_exact, md_upper_bound], ids=["md_exact", "md_upper_bound"])
+def test_rejects_disconnected(solve):
+    with pytest.raises(ValueError):
+        solve(graph(4, [(0, 1), (2, 3)]))
+
+
 class TestExactAgainstOracle:
     def test_up_to_five_vertices(self):
         for g in connected_graphs(range(1, 6)):
@@ -129,6 +163,16 @@ class TestExactAgainstOracle:
 
 
 class TestBounds:
+    @pytest.mark.parametrize(
+        "g, bound",
+        [(cycle(4), (2, "half-order")), (path(4), (3, "vertex-bound")), (k(2), (1, "vertex-bound"))],
+        ids=["c4", "p4", "k2"],
+    )
+    def test_upper_rule(self, g, bound):
+        # Half-order applies exactly when the graph has >= 3 vertices and no
+        # cut vertex.
+        assert md_upper_bound(g) == bound
+
     def test_sandwich_up_to_six_vertices(self):
         for g in connected_graphs(range(2, 7)):
             value = md_exact(g).value
