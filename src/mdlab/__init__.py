@@ -18,7 +18,6 @@ from mdlab.graph import (
     is_connected,
     min_degree,
     odd_girth,
-    to_dot,
     to_graph6,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "is_connected",
     "min_degree",
     "odd_girth",
-    "to_dot",
     "to_graph6",
 ]
 

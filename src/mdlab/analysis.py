@@ -1,12 +1,11 @@
-"""Structural analyses feeding the md solver: blocks, matching cuts, and
-degree-two layer reductions.
+"""Structural analyses feeding the md solver: blocks and soft-layer
+reduction.
 
 md adds over blocks, so the solver works block by block; one depth-first
 search both checks connectivity and yields the blocks and cut vertices, and a
 block's sorted vertex tuple is the only map between its local and original
-vertex ids.  A matching cut gives a two-color separating coloring; and
-soft_layer_reduce yields the smaller graph whose md the solver's soft-layer
-rule uses as an upper bound.
+vertex ids.  soft_layer_reduce yields the smaller graph whose md the solver's
+soft-layer rule uses as an upper bound.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mdlab.graph import Graph, graph
-
-MATCHING_CUT_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -120,6 +117,10 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     )
 
 
+# ---------------------------------------------------------------------------
+# Degree-two layer reduction
+
+
 def _neighbor_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
     for u, v in g.edges:
@@ -141,61 +142,6 @@ def _spans_connected(masks: list[int], vertex_set: int) -> bool:
         frontier = reach & vertex_set & ~seen
         seen |= frontier
     return seen == vertex_set
-
-
-# ---------------------------------------------------------------------------
-# Matching cuts
-
-
-def find_matching_cuts(
-    g: Graph, minimal_only: bool = False
-) -> list[tuple[tuple[int, int], ...]]:
-    """All matching cuts (edge cuts that are matchings), deduplicated.
-
-    Enumerates vertex bipartitions; with minimal_only the search is restricted
-    to bipartitions with both sides connected, which yields exactly the
-    matching bonds, i.e. the minimal matching cuts.  Results are sorted by
-    size then lexicographically.
-    """
-    masks = _neighbor_masks(g)
-    full = (1 << g.n) - 1
-    if not _spans_connected(masks, full):
-        raise ValueError("matching cuts are defined for connected graphs")
-    if g.n > MATCHING_CUT_CAP:
-        raise ValueError(
-            f"refusing matching-cut enumeration for n={g.n} > cap {MATCHING_CUT_CAP}"
-        )
-    if g.n < 2:
-        return []
-    found: set[tuple[tuple[int, int], ...]] = set()
-    # Vertex 0 always on the S side; complements give the same cut.
-    for t in range(1 << (g.n - 1)):
-        s_mask = (t << 1) | 1
-        if s_mask == full:
-            continue
-        cross = []
-        endpoints = 0
-        ok = True
-        for u, v in g.edges:
-            if ((s_mask >> u) & 1) != ((s_mask >> v) & 1):
-                pair = (1 << u) | (1 << v)
-                if endpoints & pair:
-                    ok = False
-                    break
-                endpoints |= pair
-                cross.append((u, v))
-        if not ok or not cross:
-            continue
-        if minimal_only and not (
-            _spans_connected(masks, s_mask) and _spans_connected(masks, full & ~s_mask)
-        ):
-            continue
-        found.add(tuple(sorted(cross)))
-    return sorted(found, key=lambda cut: (len(cut), cut))
-
-
-# ---------------------------------------------------------------------------
-# Degree-two layer reduction
 
 
 def soft_layer_reduce(g: Graph) -> tuple[Graph, tuple[int, ...]]:

@@ -3,15 +3,16 @@
 An edge coloring here is total on the canonical edge order and allows adjacent
 edges to share a color.  The verifier decides whether every vertex pair can be
 separated by deleting one color class, which is the property all md values in
-this package are measured against, and returns a per-pair witness certificate.
+this package are measured against, and returns the pairs that no color
+separates.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
-from mdlab.analysis import find_matching_cuts
 from mdlab.graph import Graph, from_graph6, is_connected, to_graph6
 
 
@@ -42,23 +43,6 @@ class EdgeColoring:
         if u > v:
             u, v = v, u
         return self.colors[self.graph.edge_index[(u, v)]]
-
-@dataclass(frozen=True)
-class SeparationCertificate:
-    """Per-pair separation witnesses.
-
-    witness maps each unordered vertex pair (u, v), u < v, to the smallest
-    color whose class separates the pair, or None when no color does.
-    """
-
-    witness: dict[tuple[int, int], int | None] = field(default_factory=dict)
-
-    @property
-    def separated_all(self) -> bool:
-        return all(c is not None for c in self.witness.values())
-
-    def unseparated_pairs(self) -> list[tuple[int, int]]:
-        return sorted(p for p, c in self.witness.items() if c is None)
 
 
 def trivial_coloring(g: Graph) -> EdgeColoring:
@@ -93,56 +77,33 @@ def _component_labels(g: Graph, keep_edges) -> list[int]:
     return [find(x) for x in range(g.n)]
 
 
-def is_md_coloring(g: Graph, c: EdgeColoring) -> tuple[bool, SeparationCertificate]:
+def is_md_coloring(
+    g: Graph, c: EdgeColoring
+) -> tuple[bool, tuple[tuple[int, int], ...]]:
     """Decide whether deleting some color class separates every vertex pair.
 
-    For each color i the components of the graph minus the i-colored edges are
-    labeled once; a pair is separated by i when its labels differ.  The
-    certificate records the smallest witness color per pair.
+    For each color the components of the graph minus that color's edges are
+    labeled once, which gives every vertex a vector of labels, one per color.
+    A pair is separated by some color exactly when its two vectors differ, so
+    the unseparated pairs are the pairs inside one group of equal vectors.
+    Returns (ok, unseparated): the sorted pairs (u, v), u < v, that no color
+    separates, empty exactly when ok is true.
     """
     if c.graph != g:
         raise ValueError("coloring was built for a different graph")
     if not is_connected(g):
         raise ValueError("the separation property is defined for connected graphs")
-    palette = sorted(set(c.colors))
-    labels: list[list[int]] = []
-    for color in palette:
-        keep = [e for e, col in zip(g.edges, c.colors) if col != color]
-        labels.append(_component_labels(g, keep))
-    witness: dict[tuple[int, int], int | None] = {}
-    ok = True
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            w = None
-            for color, lab in zip(palette, labels):
-                if lab[u] != lab[v]:
-                    w = color
-                    break
-            witness[(u, v)] = w
-            if w is None:
-                ok = False
-    return ok, SeparationCertificate(witness)
-
-
-def matching_cut_coloring(g: Graph, cut) -> EdgeColoring:
-    """Color a verified matching cut 1 and the remaining edges 2.
-
-    The result always passes is_md_coloring: a pair joined by a cut edge falls
-    apart when the cut is removed, every other pair falls apart when the rest
-    is removed.  Note the degenerate K_2 case uses a single color.
-    """
-    cut_set = set()
-    for u, v in cut:
-        e = (u, v) if u < v else (v, u)
-        if e not in g.edge_index:
-            raise ValueError(f"{e} is not an edge of the graph")
-        cut_set.add(e)
-    cut_key = tuple(sorted(cut_set))
-    if cut_key not in set(find_matching_cuts(g)):
-        raise ValueError("the given edge set is not a matching cut")
-    return EdgeColoring(
-        g, tuple(1 if e in cut_set else 2 for e in g.edges)
+    labels = [
+        _component_labels(g, [e for e, col in zip(g.edges, c.colors) if col != color])
+        for color in set(c.colors)
+    ]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v, vector in enumerate(zip(*labels)):
+        groups.setdefault(vector, []).append(v)
+    unseparated = tuple(
+        sorted(pair for members in groups.values() for pair in combinations(members, 2))
     )
+    return not unseparated, unseparated
 
 
 def merge_to_k(c: EdgeColoring, r: int) -> EdgeColoring:

@@ -3,8 +3,11 @@
 f(n, r) is the least edge count that forces md <= r on connected n-vertex
 graphs; g(n, r) is the largest edge count that guarantees md >= r.  Both have
 closed forms, verified here by sweeping every isomorphism class of connected
-graphs at desk scale and checking the sharpness witnesses one edge past each
-threshold.
+graphs at desk scale.  Sharpness is checked on the same census: a threshold is
+sharp at n when some connected n-vertex graph one edge past it breaks the
+implication, and the first such census row is the reported witness.  The
+census covers every graph of the order, so no construction is needed to find
+one.
 
 The enumeration is augmentation with canonical-form rejection: graphs grow one
 vertex at a time (attached to a nonempty subset, so every prefix stays
@@ -24,12 +27,6 @@ from typing import Iterable, Iterator
 # md_exact is looked up on the module at each call, so a wrapper installed on
 # solver.md_exact sees every census solve.
 from mdlab import solver
-from mdlab.families import (
-    clique_lollipop,
-    cycle_graph,
-    sparsest_md_one,
-    threshold_witness,
-)
 from mdlab.graph import Graph, from_graph6, graph, is_connected, to_graph6
 from mdlab.solver import SearchConfig
 
@@ -163,29 +160,23 @@ def _graph_from_bits(n: int, bits: int) -> Graph:
     return graph(n, edges)
 
 
-def enumerate_connected(n: int, max_edges: int | None = None) -> Iterator[Graph]:
+def enumerate_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected n-vertex graphs.
 
-    Optionally restricted to at most max_edges edges (pruned in flight: a
-    connected prefix on k vertices can carry at most max_edges - (n - k)
-    edges, since every later vertex brings at least one).  Each level
-    attaches a new vertex to every nonempty subset of every representative
-    of the level below and keeps the distinct `_canonical` forms.
-    Representatives come out in increasing canonical bit-string order.
+    Each level attaches a new vertex to every nonempty subset of every
+    representative of the level below and keeps the distinct `_canonical`
+    forms.  Representatives come out in increasing canonical bit-string order.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}, got {n}")
     level = [0]  # canonical edge bitmasks of connected graphs on k vertices
     for k in range(2, n + 1):
         base = (k - 1) * (k - 2) // 2
-        budget = None if max_edges is None else max_edges - (n - k)
-        children: set[int] = set()
-        for parent in level:
-            pm = parent.bit_count()
-            for subset in range(1, 1 << (k - 1)):
-                if budget is not None and pm + subset.bit_count() > budget:
-                    continue
-                children.add(parent | (subset << base))
+        children = {
+            parent | (subset << base)
+            for parent in level
+            for subset in range(1, 1 << (k - 1))
+        }
         level = sorted({_canonical(child, k) for child in children})
     for bits in level:
         yield _graph_from_bits(n, bits)
@@ -200,7 +191,8 @@ def _md_of_graph6(g6: str, cfg: SearchConfig | None) -> int:
 
 
 # Keyed by n <= ENUMERATION_CAP, so it holds at most one census per order.
-_CENSUS_CACHE: dict[int, list[tuple[str, int, int]]] = {}
+# The rows are a tuple, so a caller cannot change what later calls return.
+_CENSUS_CACHE: dict[int, tuple[tuple[str, int, int], ...]] = {}
 
 
 def md_census(
@@ -208,7 +200,7 @@ def md_census(
     graphs: Iterable[Graph] | None = None,
     jobs: int = 1,
     cfg: SearchConfig | None = None,
-) -> list[tuple[str, int, int]]:
+) -> tuple[tuple[str, int, int], ...]:
     """(graph6, edge count, md) for every connected n-vertex graph.
 
     Sourced from the built-in enumeration unless `graphs` substitutes an
@@ -235,7 +227,7 @@ def md_census(
             )
     else:
         values = [solver.md_exact(gg, cfg).value for gg in pool]
-    rows = [(g6, gg.m, v) for g6, gg, v in zip(g6s, pool, values)]
+    rows = tuple((g6, gg.m, v) for g6, gg, v in zip(g6s, pool, values))
     if graphs is None:
         _CENSUS_CACHE[n] = rows
     return rows
@@ -247,7 +239,12 @@ def md_census(
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Outcome of one exhaustive threshold check."""
+    """Outcome of one exhaustive threshold check.
+
+    witness is the graph6 of the first census row one edge past the threshold
+    that breaks the implication (None if no row does); notes says when no
+    connected graph has that edge count, which makes sharpness vacuous.
+    """
 
     kind: str  # "f" or "g"
     n: int
@@ -260,81 +257,36 @@ class ThresholdReport:
     stats: dict = field(default_factory=dict)
 
 
-def _expected_f_witness(n: int, r: int) -> Graph | None:
-    """Graph one edge below f(n, r) with md > r, when one is constructible."""
-    if r <= n - 2:
-        return clique_lollipop(n, r).graph
-    return None
-
-
-def _expected_g_witness(n: int, r: int) -> Graph | None:
-    """Graph one edge above g(n, r) with md < r, when one is constructible."""
-    if r == 1:
-        return None
-    if r >= n // 2 + 1:
-        return cycle_graph(n).graph
-    if r == 2:
-        return sparsest_md_one(n).graph
-    if r >= 4:
-        return threshold_witness(n, r - 1).graph
-    if n % 2 == 1:  # r == 3, odd order
-        return sparsest_md_one(n).graph
-    return None  # r == 3, even order: located by sweep
-
-
 def _verify(kind: str, n: int, r: int) -> ThresholdReport:
     started = time.perf_counter()
     threshold = f(n, r) if kind == "f" else g(n, r)
     rows = md_census(n)
-    notes: list[str] = []
 
     if kind == "f":
         bad = sorted(g6 for g6, m, v in rows if m >= threshold and v > r)
         boundary = threshold - 1
-        min_possible, max_possible = n - 1, math.comb(n, 2)
         sharp = lambda v: v > r  # noqa: E731
-        expected = _expected_f_witness(n, r)
     else:
         bad = sorted(g6 for g6, m, v in rows if m <= threshold and v < r)
         boundary = threshold + 1
-        min_possible, max_possible = n - 1, math.comb(n, 2)
         sharp = lambda v: v < r  # noqa: E731
-        expected = _expected_g_witness(n, r)
 
     witness: str | None = None
-    if not min_possible <= boundary <= max_possible:
-        notes.append(
-            "sharpness-vacuous: no connected graph has the boundary edge count"
-        )
+    notes: tuple[str, ...] = ()
+    if not n - 1 <= boundary <= math.comb(n, 2):
+        notes = ("sharpness-vacuous: no connected graph has the boundary edge count",)
     else:
-        if expected is not None:
-            if (
-                expected.n == n
-                and expected.m == boundary
-                and sharp(solver.md_exact(expected).value)
-            ):
-                witness = to_graph6(expected)
-            else:
-                notes.append("expected-witness-failed")
-        if witness is None:
-            for g6, m, v in rows:
-                if m == boundary and sharp(v):
-                    witness = g6
-                    break
-            if witness is not None and expected is None:
-                notes.append("witness-found-by-sweep")
+        witness = next((g6 for g6, m, v in rows if m == boundary and sharp(v)), None)
 
-    vacuous = any(note.startswith("sharpness-vacuous") for note in notes)
-    verified = not bad and (witness is not None or vacuous)
     return ThresholdReport(
         kind=kind,
         n=n,
         r=r,
         threshold=threshold,
-        verified=verified,
+        verified=not bad and (witness is not None or bool(notes)),
         counterexamples=tuple(bad),
         witness=witness,
-        notes=tuple(sorted(notes)),
+        notes=notes,
         stats={
             "graphs_checked": len(rows),
             "time_ms": (time.perf_counter() - started) * 1000.0,

@@ -185,7 +185,7 @@ def odd_girth(g: Graph) -> int | float:
 
 
 # ---------------------------------------------------------------------------
-# graph6 and DOT
+# graph6
 
 
 def from_graph6(text: str) -> Graph:
@@ -254,14 +254,3 @@ def to_graph6(g: Graph) -> str:
     if nb:
         out.append(chr((acc << (6 - nb)) + 63))
     return "".join(out)
-
-
-def to_dot(g: Graph) -> str:
-    """Attribute-free DOT text for quick visualization."""
-    lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append(f"  {v};")
-    for u, v in g.edges:
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -9,6 +9,10 @@ vertices, that md(G box H) = md(G) + md(H), attained by cartesian_md_coloring
 of the factors' extremal colorings, and that the strong and lexicographic
 products have md 1; and, for every connected tensor product of factors on 3-5
 vertices with minimum degree >= 2, that md(G x H) <= tensor_md_upper(G, H).
+
+The lexicographic product G o H is connected whenever G is, even when H is
+not.  For every connected G on 2-4 vertices and H in {2K1, 3K1, K2+K1} the
+tests find md(G o H) = 1, except K2 o 2K1, which is the 4-cycle C4 with md 2.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ class ProductKind(Enum):
 
 def product(g: Graph, h: Graph, kind: ProductKind) -> Graph:
     """Product of g and h; vertex (u, v) becomes u * h.n + v."""
+    if not isinstance(kind, ProductKind):
+        raise TypeError(f"kind must be a ProductKind, got {kind!r}")
     if g.n < 1 or h.n < 1:
         raise ValueError("products need at least one vertex per factor")
     hn = h.n

@@ -50,7 +50,7 @@ from mdlab.graph import Graph, is_connected
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The node or time budget ran out; best-known bounds are attached."""
+    """The node budget ran out; best-known bounds are attached."""
 
     def __init__(self, message: str, *, nodes: int = 0,
                  lower: int | None = None, upper: int | None = None):
@@ -62,16 +62,17 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass
 class SearchConfig:
-    """Node and time budgets for one whole solve, sub-solves included."""
+    """The node budget for one whole solve, sub-solves included.
+
+    Every search node of the solve, and of the soft-layer rule's sub-solves,
+    is charged to one count; passing the budget raises SearchBudgetExceeded.
+    """
 
     node_budget: int = 500_000_000
-    time_budget_ms: float | None = None
 
     def __post_init__(self) -> None:
         if self.node_budget <= 0:
             raise ValueError("node budget must be positive")
-        if self.time_budget_ms is not None and self.time_budget_ms <= 0:
-            raise ValueError("time budget must be positive")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -88,15 +89,10 @@ class MdResult:
 
 
 class _Budget:
-    __slots__ = ("node_budget", "deadline", "nodes")
+    __slots__ = ("node_budget", "nodes")
 
     def __init__(self, cfg: SearchConfig):
         self.node_budget = cfg.node_budget
-        self.deadline = (
-            time.monotonic() + cfg.time_budget_ms / 1000.0
-            if cfg.time_budget_ms is not None
-            else None
-        )
         self.nodes = 0
 
     def tick(self) -> None:
@@ -105,11 +101,6 @@ class _Budget:
             raise SearchBudgetExceeded(
                 f"node budget {self.node_budget} exhausted", nodes=self.nodes
             )
-        if self.deadline is not None and self.nodes % 2048 == 0:
-            if time.monotonic() > self.deadline:
-                raise SearchBudgetExceeded(
-                    "time budget exhausted", nodes=self.nodes
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +367,7 @@ def md_exact(
     whole-graph coloring from the block colorings on disjoint palettes.  The
     assembled certificate is re-verified before returning.  A bound's
     sub-solve passes its caller's budget as `_budget`, so stats["nodes"] and
-    the budgets cover the whole solve.
+    the node budget cover the whole solve.
     """
     cfg = cfg or DEFAULT_CONFIG
     started = time.perf_counter()

@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from mdlab.analysis import block_decomposition, find_matching_cuts, soft_layer_reduce
-from mdlab.graph import components, graph, is_connected
+from mdlab.analysis import block_decomposition, soft_layer_reduce
+from mdlab.graph import graph, is_connected
 
 
 def k(n):
@@ -17,10 +17,6 @@ def cycle(n):
 
 def path(n):
     return graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def k23():
-    return graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
 
 def random_connected(n, p, rng):
@@ -85,73 +81,6 @@ class TestBlocks:
                 shared = set(b1) & set(b2)
                 assert len(shared) <= 1
                 assert shared <= set(dec.cut_vertices)
-
-
-class TestMatchingCuts:
-    def test_c6_minimal_cuts_are_nonadjacent_pairs(self):
-        cuts = find_matching_cuts(cycle(6), minimal_only=True)
-        assert len(cuts) == 9
-        assert all(len(c) == 2 for c in cuts)
-        for (a, b), (c, d) in cuts:
-            assert len({a, b, c, d}) == 4
-
-    def test_k4_has_none(self):
-        assert find_matching_cuts(k(4)) == []
-        assert find_matching_cuts(k(4), minimal_only=True) == []
-
-    def test_tree_bridges_are_matching_cuts(self):
-        g = path(5)
-        singles = [c for c in find_matching_cuts(g, minimal_only=True) if len(c) == 1]
-        assert sorted(c[0] for c in singles) == list(g.edges)
-
-    def test_cap_refusal(self):
-        with pytest.raises(ValueError, match="cap"):
-            find_matching_cuts(cycle(20))
-
-    def test_brute_force_equivalence_small(self):
-        # Naive oracle over edge subsets of size <= 3: a matching M is an edge
-        # cut iff the components of G - M can be split into two sides with
-        # every M edge crossing (a perfect matching of C_6 disconnects the
-        # graph but is not a cut, since its component graph is a triangle).
-        rng = random.Random(17)
-        seen_graphs = [cycle(4), cycle(5), cycle(6), k(4), path(4), k23()]
-        for _ in range(25):
-            seen_graphs.append(random_connected(rng.randrange(2, 7), rng.uniform(0.3, 0.9), rng))
-        for g in seen_graphs:
-            naive = set()
-            for size in (1, 2, 3):
-                for sub in combinations(g.edges, size):
-                    verts = [x for e in sub for x in e]
-                    if len(set(verts)) < 2 * size:
-                        continue
-                    remaining = [e for e in g.edges if e not in set(sub)]
-                    comps = components(graph(g.n, remaining))
-                    if len(comps) < 2:
-                        continue
-                    comp_of = {}
-                    for ci, comp in enumerate(comps):
-                        for v in comp:
-                            comp_of[v] = ci
-                    t = len(comps)
-                    # Component 0 pinned to side 0, the rest take labeling bits.
-                    for labeling in range(1, 1 << (t - 1)):
-                        sides = [0] + [(labeling >> (ci - 1)) & 1 for ci in range(1, t)]
-                        if all(sides[comp_of[u]] != sides[comp_of[v]] for u, v in sub):
-                            naive.add(tuple(sorted(sub)))
-                            break
-            ours = {c for c in find_matching_cuts(g) if len(c) <= 3}
-            assert ours == naive
-
-    def test_minimal_cuts_are_minimal(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            g = random_connected(rng.randrange(3, 8), rng.uniform(0.3, 0.8), rng)
-            all_cuts = set(find_matching_cuts(g))
-            for cut in find_matching_cuts(g, minimal_only=True):
-                assert cut in all_cuts
-                for size in range(1, len(cut)):
-                    for sub in combinations(cut, size):
-                        assert tuple(sorted(sub)) not in all_cuts
 
 
 class TestSoftLayer:

@@ -98,11 +98,12 @@ def test_thresholds_verified(n):
             assert report.stats["graphs_checked"] == CONNECTED_COUNTS[n]
 
 
-@pytest.mark.slow
-def test_g_at_even_order_and_r3_is_witnessed_by_sweep():
-    report = verify_g(8, 3)
-    assert report.verified, report
-    assert report.notes == ("witness-found-by-sweep",)
+def test_census_rows_cannot_be_changed_by_a_caller():
+    rows = md_census(4)
+    with pytest.raises(AttributeError):
+        rows.append(("C~", 6, 1))
+    assert len(md_census(4)) == CONNECTED_COUNTS[4]
+    assert verify_f(4, 1).stats["graphs_checked"] == CONNECTED_COUNTS[4]
 
 
 def test_parallel_census_equals_serial():

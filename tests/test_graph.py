@@ -13,7 +13,6 @@ from mdlab.graph import (
     is_connected,
     min_degree,
     odd_girth,
-    to_dot,
     to_graph6,
 )
 
@@ -197,10 +196,3 @@ class TestSmallQueries:
     def test_min_degree(self):
         assert min_degree(path(4)) == 1
         assert min_degree(k(4)) == 3
-
-
-def test_dot_export():
-    text = to_dot(graph(3, [(0, 1)]))
-    assert "0 -- 1;" in text
-    assert text.startswith("graph G {")
-    assert "2;" in text  # isolated vertex listed

@@ -5,7 +5,7 @@ import pytest
 from mdlab.coloring import is_md_coloring
 from mdlab.extremal import enumerate_connected
 from mdlab.families import cycle_graph
-from mdlab.graph import is_connected, min_degree
+from mdlab.graph import graph, is_connected, min_degree
 from mdlab.products import (
     ProductKind,
     cartesian_md_coloring,
@@ -31,6 +31,14 @@ TENSOR_PAIRS = [
         [g for n in (3, 4, 5) for g in enumerate_connected(n) if min_degree(g) >= 2], 2
     )
     if is_connected(product(g, h, ProductKind.TENSOR))
+]
+
+
+# Every connected G on 2-4 vertices with each disconnected H in DISCONNECTED
+# (27 pairs); the lexicographic product G o H is connected all the same.
+DISCONNECTED = {"2K1": graph(2, []), "3K1": graph(3, []), "K2+K1": graph(3, [(0, 1)])}
+LEX_DISCONNECTED_PAIRS = [
+    (g, name) for n in (2, 3, 4) for g in enumerate_connected(n) for name in DISCONNECTED
 ]
 
 
@@ -75,6 +83,7 @@ def test_tensor_upper_bound_holds():
 def test_sweep_sizes():
     assert len(SMALL_PAIRS) == 45
     assert len(TENSOR_PAIRS) == 117
+    assert len(LEX_DISCONNECTED_PAIRS) == 27
 
 
 @pytest.mark.parametrize("g, h", SMALL_PAIRS, ids=[pair_id(p) for p in SMALL_PAIRS])
@@ -95,3 +104,25 @@ def test_strong_and_lexicographic_md_is_one(g, h, kind):
 @pytest.mark.parametrize("g, h", TENSOR_PAIRS, ids=[pair_id(p) for p in TENSOR_PAIRS])
 def test_tensor_md_within_odd_girth_bound(g, h):
     assert md_exact(product(g, h, ProductKind.TENSOR)).value <= tensor_md_upper(g, h)
+
+
+@pytest.mark.parametrize(
+    "g, name",
+    LEX_DISCONNECTED_PAIRS,
+    ids=[f"{pair_id((g,))}_{name}" for g, name in LEX_DISCONNECTED_PAIRS],
+)
+def test_lexicographic_with_disconnected_second_factor(g, name):
+    p = product(g, DISCONNECTED[name], ProductKind.LEXICOGRAPHIC)
+    assert is_connected(p)
+    if g.n == 2 and name == "2K1":
+        # K2 o 2K1 is the 4-cycle; every other pair has md 1.
+        assert p == graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        assert md_exact(p).value == 2
+    else:
+        assert md_exact(p).value == 1
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "tensor", None])
+def test_product_rejects_a_kind_that_is_not_a_product_kind(kind):
+    with pytest.raises(TypeError, match="ProductKind"):
+        product(C5, C5, kind)
