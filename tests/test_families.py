@@ -9,7 +9,6 @@ from mdlab.extremal import f, g, mu
 from mdlab.families import (
     clique_lollipop,
     cycle_graph,
-    matched_cliques,
     near_clique_lollipop,
     sparsest_md_one,
     threshold_witness,
@@ -51,11 +50,6 @@ def test_threshold_witness(n):
 @pytest.mark.parametrize("n", [11, 12])
 def test_threshold_witness_large(n):
     check_threshold_witness(n)
-
-
-@pytest.mark.parametrize("n", range(4, 13, 2))
-def test_matched_cliques_md_at_least_two(n):
-    assert md(matched_cliques(n)) >= 2
 
 
 @pytest.mark.parametrize("n", range(2, 13))

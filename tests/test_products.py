@@ -16,6 +16,8 @@ from mdlab.solver import md_exact, md_oracle
 
 C5 = cycle_graph(5).graph
 C6 = cycle_graph(6).graph
+C7 = cycle_graph(7).graph
+C8 = cycle_graph(8).graph
 
 # Every unordered pair of connected factors on 2-4 vertices (9 graphs, 45
 # pairs), and every pair of connected factors on 3-5 vertices with minimum
@@ -48,15 +50,19 @@ def pair_id(pair):
 
 
 # The search node counts pin the search order as well as the values: a change
-# to the pruning that keeps md but explores a different tree shows here.
+# to the pruning that keeps md but explores a different tree shows here.  A
+# packing cut that stops pruning turns the last three into millions of nodes.
 @pytest.mark.parametrize(
     "g, h, kind, md, nodes",
     [
-        (C5, C5, ProductKind.CARTESIAN, 4, 1221),
-        (C6, C6, ProductKind.CARTESIAN, 6, 8319),
-        (C5, C5, ProductKind.TENSOR, 4, 6030),
+        (C5, C5, ProductKind.CARTESIAN, 4, 23),
+        (C6, C6, ProductKind.CARTESIAN, 6, 56),
+        (C5, C5, ProductKind.TENSOR, 4, 129),
+        (C7, C7, ProductKind.CARTESIAN, 6, 101),
+        (C8, C8, ProductKind.CARTESIAN, 8, 299),
+        (C7, C7, ProductKind.TENSOR, 6, 1696),
     ],
-    ids=["c5_box_c5", "c6_box_c6", "c5_x_c5"],
+    ids=["c5_box_c5", "c6_box_c6", "c5_x_c5", "c7_box_c7", "c8_box_c8", "c7_x_c7"],
 )
 def test_product_md_and_search_nodes(g, h, kind, md, nodes):
     p = product(g, h, kind)

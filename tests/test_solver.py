@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from mdlab import solver
+from mdlab.analysis import block_decomposition
 from mdlab.coloring import EdgeColoring, is_md_coloring
 from mdlab.extremal import enumerate_connected, md_census
 from mdlab.graph import graph, is_connected
@@ -186,15 +188,58 @@ class TestBounds:
         assert ("soft-layer", 6) in result.bounds_trail
 
 
+@lru_cache(maxsize=None)
+def census_blocks():
+    """Each distinct 2-connected block of the connected graphs on 3-7 vertices."""
+    blocks = {}
+    for g in connected_graphs(range(3, 8)):
+        for bg in block_decomposition(g).block_graphs:
+            if bg.n >= 3:
+                blocks.setdefault((bg.n, bg.edges), bg)
+    return tuple(blocks.values())
+
+
+class TestPackingCut:
+    def test_suffix_bounds_on_census_blocks(self):
+        # Soundness of the cut, suffix by suffix: the colors of an extremal
+        # coloring that lie wholly in classes i..t-1 number at most pack[i].
+        blocks = census_blocks()
+        assert len(blocks) == 615
+        for g in blocks:
+            table = solver._SepTable(g)
+            pack, t = table.packing(), len(table.classes)
+            assert len(pack) == t + 1 and pack[t] == 0, g.edges
+            assert all(pack[i] <= t - i for i in range(t)), (g.edges, pack)
+            result = md_exact(g)
+            assert pack[0] >= result.value, (g.edges, pack)
+            first = {}
+            for i, cls in enumerate(table.classes):
+                for e in cls:
+                    first.setdefault(result.certificate.colors[g.edge_index[e]], i)
+            for i in range(t):
+                inside = sum(1 for start in first.values() if start >= i)
+                assert inside <= pack[i], (g.edges, i, pack)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [range(10), pytest.param(range(10, 11), marks=pytest.mark.slow)],
+        ids=["m_up_to_9", "m_10"],
+    )
+    def test_packing_at_least_oracle_md(self, edges):
+        for g in census_blocks():
+            if g.m in edges:
+                assert solver._SepTable(g).packing()[0] >= md_oracle(g), g.edges
+
+
 class TestBudgets:
     def test_soft_layer_sub_solve_is_charged(self):
         result = md_exact(HUB_AND_C4)
         assert result.value == 2
-        # 1,228 nodes of main search plus 3 in the soft-layer sub-solve.
-        assert result.stats["nodes"] == 1231
-        assert md_exact(HUB_AND_C4, SearchConfig(node_budget=1231)).value == 2
+        # 1,188 nodes of main search plus 3 in the soft-layer sub-solve.
+        assert result.stats["nodes"] == 1191
+        assert md_exact(HUB_AND_C4, SearchConfig(node_budget=1191)).value == 2
         with pytest.raises(SearchBudgetExceeded):
-            md_exact(HUB_AND_C4, SearchConfig(node_budget=1230))
+            md_exact(HUB_AND_C4, SearchConfig(node_budget=1190))
 
     def test_upper_bound_sub_solve_honors_budget(self):
         with pytest.raises(SearchBudgetExceeded):
