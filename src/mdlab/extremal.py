@@ -9,11 +9,12 @@ implication, and the first such census row is the reported witness.  The
 census covers every graph of the order, so no construction is needed to find
 one.
 
-The enumeration is augmentation with canonical-form rejection: graphs grow one
-vertex at a time (attached to a nonempty subset, so every prefix stays
-connected), and duplicates are rejected by a canonical form: the least
-adjacency bit-string over the leaves of a partition-refinement search
-(`_canonical`), in pure Python.
+The enumeration is canonical augmentation (McKay 1998): graphs grow one vertex
+at a time, attached to a nonempty subset so that every prefix stays connected,
+and a child is kept only when its new vertex is a canonical vertex to delete.
+The kept children are deduplicated by a canonical form: the least adjacency
+bit-string over the leaves of a partition-refinement search (`_least_code`),
+in pure Python.
 """
 
 from __future__ import annotations
@@ -77,107 +78,220 @@ def _pair_pos(u: int, v: int) -> int:
     return v * (v - 1) // 2 + u
 
 
-def _canonical(bits: int, k: int) -> int:
-    """Least bit-string over the leaves of a refinement search on a graph.
-
-    `bits` holds a k-vertex graph in the `_pair_pos` encoding.  The search
-    follows McKay & Piperno, "Practical graph isomorphism II" (2014).  Each
-    node is an ordered partition of the vertices, refined until equitable:
-    every cell splits by its vertices' neighbour counts into a splitter (the
-    vertex set, then each individualized vertex and each new piece), and the
-    pieces are ordered by decreasing count.  Each vertex of the first
-    non-singleton cell is then individualized in turn, as a singleton cell
-    just before the rest of its cell.  A discrete partition is a leaf and
-    relabels the graph: the vertex in cell i becomes vertex i.
-
-    The minimum depends only on the isomorphism class because no step reads
-    a vertex id: splits, piece order and the target cell follow from
-    adjacency counts and cell positions.  Relabelling the input therefore
-    relabels the whole search tree the same way, and each leaf gives the same
-    bit-string as its image.  If every vertex of the target cell is a twin of
-    its first vertex (equal neighbourhoods, ignoring each other), swapping
-    two of them is an automorphism that fixes the partition and maps one
-    subtree onto the other, so branching on the first vertex alone leaves
-    the set of leaf bit-strings unchanged.  This keeps stars and cliques at
-    one leaf.
-    """
+def _adjacency(bits: int, k: int) -> list[int]:
+    """Neighbour bitmask of each vertex of a graph in the `_pair_pos` encoding."""
     adj = [0] * k
+    pos = 0
     for v in range(1, k):
         for u in range(v):
-            if bits >> _pair_pos(u, v) & 1:
+            if bits >> pos & 1:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
+            pos += 1
+    return adj
 
-    def search(cells: list[tuple[int, ...]], splitters: list[int]) -> int:
-        for w in splitters:
-            if len(cells) == k:
-                break
-            split = []
-            for cell in cells:
-                if len(cell) == 1:
-                    split.append(cell)
-                    continue
-                pieces: dict[int, list[int]] = {}
-                for v in cell:
-                    pieces.setdefault((adj[v] & w).bit_count(), []).append(v)
-                if len(pieces) == 1:
-                    split.append(cell)
-                    continue
-                # Higher counts first, so at the root denser vertices take
-                # lower labels; md_exact searches fewer nodes on such graphs.
-                for count in sorted(pieces, reverse=True):
-                    split.append(tuple(pieces[count]))
-                    # Each new piece joins the splitters this loop still reads.
-                    splitters.append(sum(1 << v for v in pieces[count]))
-            cells = split
-        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-        if target is None:
-            code, pos = 0, 0  # pos runs through _pair_pos(i, j) in order
-            for j in range(1, k):
-                row = adj[cells[j][0]]
-                for i in range(j):
-                    code |= (row >> cells[i][0] & 1) << pos
-                    pos += 1
-            return code
-        cell = cells[target]
-        first = cell[0]
-        twins = all(adj[first] & ~(1 << w) == adj[w] & ~(1 << first) for w in cell[1:])
-        head, tail = cells[:target], cells[target + 1 :]
-        return min(
-            search(head + [(v,), tuple(w for w in cell if w != v)] + tail, [1 << v])
-            for v in (cell[:1] if twins else cell)
-        )
 
-    return search([tuple(range(k))], [(1 << k) - 1])
+def _least_code(adj: list[int], cells: list[tuple[int, ...]], splitters: list[int]) -> int:
+    """Least bit-string over the leaves of a refinement search from `cells`.
+
+    The search follows McKay & Piperno, "Practical graph isomorphism II"
+    (2014).  Each node is an ordered partition of the vertices, refined until
+    equitable: every cell splits by its vertices' neighbour counts into a
+    splitter (the starting cells, then each individualized vertex and each
+    new piece), and the pieces are ordered by decreasing count.  Each vertex
+    of the first non-singleton cell is then individualized in turn, as a
+    singleton cell just before the rest of its cell.  A discrete partition is
+    a leaf and relabels the graph: the vertex in cell i becomes vertex i.
+
+    The minimum depends only on the graph with its starting partition, up to
+    isomorphism, because no step reads a vertex id: splits, piece order and
+    the target cell follow from adjacency counts and cell positions.
+    Relabelling the input therefore relabels the whole search tree the same
+    way, and each leaf gives the same bit-string as its image.  If every
+    vertex of the target cell is a twin of its first vertex (equal
+    neighbourhoods, ignoring each other), swapping two of them is an
+    automorphism that fixes the partition and maps one subtree onto the
+    other, so branching on the first vertex alone leaves the set of leaf
+    bit-strings unchanged.  This keeps stars and cliques at one leaf.
+    """
+    k = len(adj)
+    for w in splitters:
+        if len(cells) == k:
+            break
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            pieces: dict[int, list[int]] = {}
+            for v in cell:
+                pieces.setdefault((adj[v] & w).bit_count(), []).append(v)
+            if len(pieces) == 1:
+                split.append(cell)
+                continue
+            # Higher counts first, so at the root denser vertices take lower
+            # labels; md_exact searches fewer nodes on such graphs.
+            for count in sorted(pieces, reverse=True):
+                split.append(tuple(pieces[count]))
+                # Each new piece joins the splitters this loop still reads.
+                splitters.append(sum(1 << v for v in pieces[count]))
+        cells = split
+    target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+    if target is None:
+        code, pos = 0, 0  # pos runs through _pair_pos(i, j) in order
+        for j in range(1, k):
+            row = adj[cells[j][0]]
+            for i in range(j):
+                code |= (row >> cells[i][0] & 1) << pos
+                pos += 1
+        return code
+    cell = cells[target]
+    first = cell[0]
+    twins = all(adj[first] & ~(1 << w) == adj[w] & ~(1 << first) for w in cell[1:])
+    head, tail = cells[:target], cells[target + 1 :]
+    return min(
+        _least_code(adj, head + [(v,), tuple(w for w in cell if w != v)] + tail, [1 << v])
+        for v in (cell[:1] if twins else cell)
+    )
+
+
+def _canonical(bits: int, k: int) -> int:
+    """Canonical form of a k-vertex graph in the `_pair_pos` encoding.
+
+    The least leaf bit-string of `_least_code` from the unit partition, so
+    two graphs get the same form exactly when they are isomorphic.
+    """
+    return _least_code(_adjacency(bits, k), [tuple(range(k))], [(1 << k) - 1])
+
+
+def _rooted_code(adj: list[int], w: int) -> int:
+    """Canonical form of the graph rooted at w: equal exactly on w's orbit."""
+    k = len(adj)
+    rest = (*range(w), *range(w + 1, k))
+    return _least_code(adj, [(w,), rest], [1 << w, (1 << k) - 1 & ~(1 << w)])
+
+
+def _components_without(adj: list[int], w: int) -> list[int]:
+    """Vertex bitmasks of the components of the graph minus w."""
+    left = (1 << len(adj)) - 1 & ~(1 << w)
+    components = []
+    while left:
+        seen = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & left & ~seen
+            seen |= new
+            frontier |= new
+        components.append(seen)
+        left &= ~seen
+    return components
+
+
+def _canonical_children(parent_adj: list[int]) -> Iterator[list[int]]:
+    """Children P + v whose new vertex v is a canonical vertex to delete.
+
+    v is attached to each nonempty subset S of P's vertices in turn.  The
+    canonical vertices of a connected graph are its least non-cut vertices
+    by degree, then by the sorted degrees of their neighbours, then by
+    `_rooted_code`.  Each key is an isomorphism invariant and the rooted code
+    tells orbits apart, so the canonical vertices form one orbit of the
+    automorphism group.  v is itself non-cut, since P is connected.
+
+    The keys are tried cheapest first.  The first reads only P: a vertex w
+    of P is a cut vertex of the child exactly when some component of P - w
+    misses S, and its degree is its degree in P plus one if it is in S.
+    Only the children that survive it get an adjacency, and only ties on
+    the first two keys run the rooted search.
+    """
+    v = len(parent_adj)
+    degrees = [a.bit_count() for a in parent_adj]
+    parts = [_components_without(parent_adj, w) for w in range(v)]
+    for subset in range(1, 1 << v):
+        degree = subset.bit_count()
+        ties = []
+        for w in range(v):
+            dw = degrees[w] + (subset >> w & 1)
+            if dw <= degree and all(part & subset for part in parts[w]):
+                if dw < degree:
+                    break
+                ties.append(w)
+        else:
+            adj = [a | (subset >> u & 1) << v for u, a in enumerate(parent_adj)]
+            adj.append(subset)
+            if not ties or _least_of_ties(adj, ties):
+                yield adj
+
+
+def _least_of_ties(adj: list[int], ties: list[int]) -> bool:
+    """Whether the last vertex v is least among itself and `ties` on the
+    remaining keys: the sorted degrees of the neighbours, then `_rooted_code`.
+    """
+    v = len(adj) - 1
+    degrees = [a.bit_count() for a in adj]
+
+    def around(w: int) -> list[int]:
+        return sorted(degrees[x] for x in range(v + 1) if adj[w] >> x & 1)
+
+    key = around(v)
+    rivals = []
+    for w in ties:
+        other = around(w)
+        if other < key:
+            return False
+        if other == key:
+            rivals.append(w)
+    if not rivals:
+        return True
+    code = _rooted_code(adj, v)
+    return all(_rooted_code(adj, w) >= code for w in rivals)
 
 
 def _graph_from_bits(n: int, bits: int) -> Graph:
-    edges = []
-    for v in range(1, n):
-        for u in range(v):
-            if (bits >> _pair_pos(u, v)) & 1:
-                edges.append((u, v))
-    return graph(n, edges)
+    adj = _adjacency(bits, n)
+    return graph(n, [(u, v) for v in range(1, n) for u in range(v) if adj[v] >> u & 1])
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected n-vertex graphs.
 
-    Each level attaches a new vertex to every nonempty subset of every
-    representative of the level below and keeps the distinct `_canonical`
-    forms.  Representatives come out in increasing canonical bit-string order.
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998).  Level k attaches a new vertex v to every nonempty
+    subset of every representative P on k - 1 vertices.  A child is kept
+    only when v is one of its canonical vertices: the least non-cut vertices
+    by degree, then by the sorted degrees of their neighbours, then by
+    `_rooted_code` (see `_canonical_children`).  Only the kept children get
+    a canonical form, and the level keeps the distinct forms.
+
+    Nothing is lost.  Every connected graph C has a non-cut vertex, so it has
+    canonical vertices; let m be one.  C - m is connected, so it is
+    isomorphic to some representative P, and the isomorphism carries m's
+    neighbours to a subset S of P.  The child of P on S is isomorphic to C
+    with v standing for m.  The keys are invariants, so v is canonical there
+    and the child is kept.  Conversely, the canonical vertices of a kept
+    child C form one orbit, so P is isomorphic to C - m and C is kept from
+    one parent only.  Two kept children of P are isomorphic only when an
+    automorphism of P maps one subset onto the other, and the set of forms
+    removes those duplicates.
+
+    Representatives come out in increasing canonical bit-string order.  n is
+    checked at the call; the work runs as the iterator is read.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}, got {n}")
+    return _enumerate(n)
+
+
+def _enumerate(n: int) -> Iterator[Graph]:
     level = [0]  # canonical edge bitmasks of connected graphs on k vertices
     for k in range(2, n + 1):
-        base = (k - 1) * (k - 2) // 2
-        children = {
-            parent | (subset << base)
-            for parent in level
-            for subset in range(1, 1 << (k - 1))
-        }
-        level = sorted({_canonical(child, k) for child in children})
+        v = k - 1
+        unit = tuple(range(k))
+        forms = set()
+        for parent in level:
+            for adj in _canonical_children(_adjacency(parent, v)):
+                forms.add(_least_code(adj, [unit], [(1 << k) - 1]))
+        level = sorted(forms)
     for bits in level:
         yield _graph_from_bits(n, bits)
 

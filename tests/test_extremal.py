@@ -1,23 +1,41 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
 from mdlab.extremal import (
+    _adjacency,
     _canonical,
     _pair_pos,
+    _rooted_code,
     enumerate_connected,
     md_census,
     verify_f,
     verify_g,
 )
+from mdlab.graph import to_graph6
 
 # OEIS A001349: connected graphs on n unlabeled vertices.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+# sha256 over the newline-joined graph6 strings of enumerate_connected(n), in
+# order, recorded before canonical augmentation replaced deduplication of
+# every child: the same graphs, labelled the same way, in the same order.
+ENUMERATION_DIGESTS = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "ff300d6b5191490a6a2d507279c750a00c4d53fb98b6e1b3e8b59ef7894631ec",
+    4: "3f857577f8738a7519c9982ffff9c372a7fa13b429b8eacd9cc7055aa015e437",
+    5: "db1051baa8a00f9fae1eb28a3a37b8e32c66bff19af809746b6f5b0b06e7f1d4",
+    6: "f5e49edc3e9e613c2c8b7c0f84aeb0eb77bb9670bdc43c249eba3ac0cfbd095d",
+    7: "bb37d50d9c731dd9aa252605bdf7394125e9ada7d83408f6909aab7c9d5814fe",
+    8: "179d1bd423ca661f4dbe761357038346f20bdfd34af3564742e065f608b120da",
+}
 
 SEVEN = pytest.param(7, marks=pytest.mark.slow)
 EIGHT = pytest.param(8, marks=pytest.mark.slow)
@@ -47,7 +65,41 @@ def _bits(edges) -> int:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, SEVEN, EIGHT])
 def test_enumeration_counts(n):
-    assert sum(1 for _ in enumerate_connected(n)) == CONNECTED_COUNTS[n]
+    g6 = [to_graph6(gg) for gg in enumerate_connected(n)]
+    assert len(g6) == CONNECTED_COUNTS[n]
+    assert hashlib.sha256("\n".join(g6).encode()).hexdigest() == ENUMERATION_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [0, 9, -1])
+def test_enumeration_checks_n_at_the_call(n):
+    with pytest.raises(ValueError):
+        enumerate_connected(n)
+
+
+def test_rooted_code_is_equal_exactly_on_orbits():
+    rng = random.Random(1)
+    # C6, the triangular prism and a path: one orbit, one orbit, three.
+    graphs = [
+        (6, [(i, (i + 1) % 6) for i in range(6)]),
+        (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+        (6, [(i, i + 1) for i in range(5)]),
+    ]
+    for _ in range(40):
+        n, p = rng.randint(1, 6), rng.random()
+        graphs.append((n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for n, edges in graphs:
+        adj = _adjacency(_bits(edges), n)
+        same = {(w, w) for w in range(n)}
+        for perm in permutations(range(n)):
+            if all(adj[perm[u]] >> perm[v] & 1 for u, v in edges):
+                same.update((w, perm[w]) for w in range(n))
+        codes = [_rooted_code(adj, w) for w in range(n)]
+        for w in range(n):
+            for x in range(n):
+                assert (codes[w] == codes[x]) == ((w, x) in same), (n, edges, w, x)
+        perm = rng.sample(range(n), n)
+        moved = _adjacency(_bits([(perm[u], perm[v]) for u, v in edges]), n)
+        assert [_rooted_code(moved, perm[w]) for w in range(n)] == codes
 
 
 def test_canonical_is_invariant_under_relabelling():
