@@ -24,24 +24,14 @@ class BlockDecomposition:
             contained vertex (then lexicographically).
         cut_vertices: sorted tuple of cut vertices.
         block_graphs: for each block, the induced Graph on local ids, where
-            local vertex i of block b is original vertex blocks[b][i].
+            local vertex i of block b is original vertex blocks[b][i].  The
+            map is increasing, so a block edge (a, c) is the original edge
+            (blocks[b][a], blocks[b][c]) and the edge order is kept.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
     block_graphs: tuple[Graph, ...]
-
-    @property
-    def block_edge_sets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Edges of the original graph belonging to each block, sorted.
-
-        The local-to-original map is increasing, so it keeps each edge's
-        endpoint order and the edge order.
-        """
-        return tuple(
-            tuple((verts[a], verts[b]) for a, b in bg.edges)
-            for verts, bg in zip(self.blocks, self.block_graphs)
-        )
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:

@@ -4,16 +4,16 @@ An edge coloring here is total on the canonical edge order and allows adjacent
 edges to share a color.  The verifier decides whether every vertex pair can be
 separated by deleting one color class, which is the property all md values in
 this package are measured against, and returns the pairs that no color
-separates.
+separates.  A coloring has no wire format of its own: `mdlab md` prints the
+graph6 text and the color list in its JSON lines.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from mdlab.graph import Graph, from_graph6, is_connected, to_graph6
+from mdlab.graph import Graph, is_connected
 
 
 @dataclass(frozen=True)
@@ -120,26 +120,3 @@ def merge_to_k(c: EdgeColoring, r: int) -> EdgeColoring:
         norm.graph, tuple(min(col, r) for col in norm.colors)
     )
 
-
-# ---------------------------------------------------------------------------
-# JSON wire format: {"graph6": "...", "colors": [...]} with colors aligned to
-# the canonical edge order.
-
-
-def coloring_to_json(c: EdgeColoring) -> str:
-    return json.dumps(
-        {"graph6": to_graph6(c.graph), "colors": list(c.colors)},
-        sort_keys=True,
-    )
-
-
-def coloring_from_json(text: str) -> EdgeColoring:
-    data = json.loads(text)
-    try:
-        g6 = data["graph6"]
-        colors = data["colors"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"coloring JSON needs graph6 and colors fields: {exc}")
-    if not isinstance(colors, list):
-        raise ValueError(f"colors must be a JSON list of integers, got {colors!r}")
-    return EdgeColoring(from_graph6(g6), tuple(colors))

@@ -29,7 +29,6 @@ from typing import Iterable, Iterator
 # solver.md_exact sees every census solve.
 from mdlab import solver
 from mdlab.graph import Graph, from_graph6, graph, is_connected, to_graph6
-from mdlab.solver import SearchConfig
 
 ENUMERATION_CAP = 8
 
@@ -300,8 +299,8 @@ def _enumerate(n: int) -> Iterator[Graph]:
 # md census over the enumeration
 
 
-def _md_of_graph6(g6: str, cfg: SearchConfig | None) -> int:
-    return solver.md_exact(from_graph6(g6), cfg).value
+def _md_of_graph6(g6: str) -> int:
+    return solver.md_exact(from_graph6(g6)).value
 
 
 # Keyed by n <= ENUMERATION_CAP, so it holds at most one census per order.
@@ -313,14 +312,16 @@ def md_census(
     n: int,
     graphs: Iterable[Graph] | None = None,
     jobs: int = 1,
-    cfg: SearchConfig | None = None,
 ) -> tuple[tuple[str, int, int], ...]:
     """(graph6, edge count, md) for every connected n-vertex graph.
 
     Sourced from the built-in enumeration unless `graphs` substitutes an
     external catalog (each must be connected on n vertices).  Built-in runs
-    are cached per n.
+    are cached per n.  jobs (an int >= 1) is the number of worker processes;
+    every solve runs on md_exact's default node budget.
     """
+    if type(jobs) is not int or jobs < 1:  # bools refused too
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     if graphs is None and n in _CENSUS_CACHE:
         return _CENSUS_CACHE[n]
     if graphs is None:
@@ -336,11 +337,9 @@ def md_census(
     g6s = [to_graph6(gg) for gg in pool]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            values = list(
-                ex.map(_md_of_graph6, g6s, [cfg] * len(g6s), chunksize=32)
-            )
+            values = list(ex.map(_md_of_graph6, g6s, chunksize=32))
     else:
-        values = [solver.md_exact(gg, cfg).value for gg in pool]
+        values = [solver.md_exact(gg).value for gg in pool]
     rows = tuple((g6, gg.m, v) for g6, gg, v in zip(g6s, pool, values))
     if graphs is None:
         _CENSUS_CACHE[n] = rows

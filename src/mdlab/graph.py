@@ -63,23 +63,6 @@ class Graph:
         """Edge -> position in the canonical edge order."""
         return {e: i for i, e in enumerate(self.edges)}
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_index
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self.adjacency[v]
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-
     def __repr__(self) -> str:  # compact, the edge list can be long
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -242,11 +225,12 @@ def to_graph6(g: Graph) -> str:
     if g.n > 62:
         raise Graph6Error(f"n={g.n} exceeds the short-form graph6 limit of 62")
     out = [chr(g.n + 63)]
+    edges = g.edge_index
     acc = 0
     nb = 0
     for v in range(1, g.n):
         for u in range(v):
-            acc = (acc << 1) | (1 if g.has_edge(u, v) else 0)
+            acc = (acc << 1) | ((u, v) in edges)
             nb += 1
             if nb == 6:
                 out.append(chr(acc + 63))

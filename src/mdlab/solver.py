@@ -13,8 +13,12 @@ The upper bound is the least of four rules: n - 1 (vertex-bound), n/2 for a
 2-connected block (half-order), the number of forced-monochromatic edge
 classes (mono-classes), and the md of the graph left after stripping a soft
 layer of non-cut vertices (soft-layer), solved recursively on the caller's
-budget.  The lower bound is closed-form (one, tree, unicyclic-half) and is
-reported in the bound trail only.
+node budget.  The lower bound is closed-form (one, tree, unicyclic-half) and
+is reported in the bound trail only.
+
+md_exact's node_budget keyword is the solver's one setting: every search node
+of a solve, its sub-solves included, is charged to it, and passing it raises
+SearchBudgetExceeded.  Every other entry point solves on NODE_BUDGET.
 
 The search assigns whole edge classes rather than edges: restricted to any
 triangle a separating coloring is monochromatic, and restricted to any 4-cycle
@@ -58,7 +62,7 @@ from mdlab.graph import Graph, is_connected
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The node budget ran out; best-known bounds are attached."""
+    """md_exact's node_budget ran out; best-known bounds are attached."""
 
     def __init__(self, message: str, *, nodes: int = 0,
                  lower: int | None = None, upper: int | None = None):
@@ -68,22 +72,8 @@ class SearchBudgetExceeded(RuntimeError):
         self.upper = upper
 
 
-@dataclass
-class SearchConfig:
-    """The node budget for one whole solve, sub-solves included.
-
-    Every search node of the solve, and of the soft-layer rule's sub-solves,
-    is charged to one count; passing the budget raises SearchBudgetExceeded.
-    """
-
-    node_budget: int = 500_000_000
-
-    def __post_init__(self) -> None:
-        if self.node_budget <= 0:
-            raise ValueError("node budget must be positive")
-
-
-DEFAULT_CONFIG = SearchConfig()
+#: Search nodes one md_exact call may spend, its bounds' sub-solves included.
+NODE_BUDGET = 500_000_000
 
 
 @dataclass(frozen=True)
@@ -99,8 +89,10 @@ class MdResult:
 class _Budget:
     __slots__ = ("node_budget", "nodes")
 
-    def __init__(self, cfg: SearchConfig):
-        self.node_budget = cfg.node_budget
+    def __init__(self, node_budget: int):
+        if type(node_budget) is not int or node_budget < 1:  # bools refused too
+            raise ValueError(f"node budget must be an int >= 1, got {node_budget!r}")
+        self.node_budget = node_budget
         self.nodes = 0
 
     def tick(self) -> None:
@@ -181,17 +173,15 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
 # Bounds
 
 
-def md_upper_bound(
-    g: Graph, cfg: SearchConfig | None = None, _budget: _Budget | None = None
-) -> tuple[int, str]:
+def md_upper_bound(g: Graph, _budget: _Budget | None = None) -> tuple[int, str]:
     """Smallest applicable upper bound with the name of the rule that won.
 
     The soft-layer rule solves a smaller graph exactly; its search nodes are
     charged to `_budget` (the caller's solve) or, without one, to a fresh
-    budget from cfg.  Running out raises SearchBudgetExceeded rather than
-    loosening the bound.  One block decomposition checks connectivity (it
-    raises ValueError on a disconnected graph) and, when it finds no cut
-    vertex, admits the half-order rule.
+    budget of NODE_BUDGET nodes.  Running out raises SearchBudgetExceeded
+    rather than loosening the bound.  One block decomposition checks
+    connectivity (it raises ValueError on a disconnected graph) and, when it
+    finds no cut vertex, admits the half-order rule.
 
     The search's packing value (_SepTable.packing, pack[0]) is often tighter
     than every rule here, but it is deliberately not a rule yet: it would
@@ -210,7 +200,7 @@ def md_upper_bound(
     if best > 1:
         reduced, seq = soft_layer_reduce(g)
         if seq:
-            value = md_exact(reduced, cfg, _budget=_budget).value
+            value = md_exact(reduced, _budget=_budget).value
             if value < best:
                 best, name = value, "soft-layer"
     return best, name
@@ -381,19 +371,17 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
     return best
 
 
-def md_feasible(
-    g: Graph, k: int, cfg: SearchConfig | None = None
-) -> EdgeColoring | None:
+def md_feasible(g: Graph, k: int) -> EdgeColoring | None:
     """A separating coloring of g with exactly k colors, or None.
 
     One exists exactly for k <= md, so this merges md_exact's certificate down
     to k colors.  Raises SearchBudgetExceeded instead of returning None when
-    the budget runs out, so an unknown outcome is never silently conflated
-    with infeasibility.
+    the default node budget runs out, so an unknown outcome is never silently
+    conflated with infeasibility.
     """
     if k < 1:
         raise ValueError("color count must be >= 1")
-    result = md_exact(g, cfg)
+    result = md_exact(g)
     if k > result.value:
         return None
     coloring = merge_to_k(result.certificate, k)
@@ -403,10 +391,10 @@ def md_feasible(
 
 
 def _solve_connected(
-    g: Graph, cfg: SearchConfig, budget: _Budget
+    g: Graph, budget: _Budget
 ) -> tuple[int, EdgeColoring, list[tuple[str, int]]]:
     """Exact md of a connected graph on >= 2 vertices, no block splitting."""
-    upper, upper_name = md_upper_bound(g, cfg, _budget=budget)
+    upper, upper_name = md_upper_bound(g, _budget=budget)
     lower, lower_name = md_lower_bound(g)
     trail = [(upper_name, upper), (lower_name, lower)]
     if upper == 1:
@@ -421,20 +409,21 @@ def _solve_connected(
 
 
 def md_exact(
-    g: Graph, cfg: SearchConfig | None = None, _budget: _Budget | None = None
+    g: Graph, *, node_budget: int = NODE_BUDGET, _budget: _Budget | None = None
 ) -> MdResult:
     """Exact md with a verified extremal coloring.
 
     Splits into blocks (md adds over blocks, and bridges contribute 1 each),
     solves each non-trivial block by one branch-and-bound, then assembles a
-    whole-graph coloring from the block colorings on disjoint palettes.  The
-    assembled certificate is re-verified before returning.  A bound's
-    sub-solve passes its caller's budget as `_budget`, so stats["nodes"] and
-    the node budget cover the whole solve.
+    whole-graph coloring from the block colorings on disjoint palettes, each
+    block edge mapped back through the block's sorted vertex tuple.  The
+    assembled certificate is re-verified before returning.  Spending more
+    than node_budget search nodes (an int >= 1) raises SearchBudgetExceeded.
+    A bound's sub-solve passes its caller's budget as `_budget`, so
+    stats["nodes"] and node_budget cover the whole solve.
     """
-    cfg = cfg or DEFAULT_CONFIG
     started = time.perf_counter()
-    budget = _budget if _budget is not None else _Budget(cfg)
+    budget = _budget if _budget is not None else _Budget(node_budget)
     if g.n <= 1:
         return MdResult(
             value=0,
@@ -456,7 +445,7 @@ def md_exact(
                 value, block_col = 1, trivial_coloring(bg)
                 block_trail = [("bridge", 1)]
             else:
-                value, block_col, block_trail = _solve_connected(bg, cfg, budget)
+                value, block_col, block_trail = _solve_connected(bg, budget)
         except SearchBudgetExceeded as exc:
             done = sum(solved)
             remaining = len(dec.blocks) - len(solved)

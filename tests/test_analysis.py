@@ -64,11 +64,15 @@ class TestBlocks:
         for _ in range(60):
             g = random_connected(rng.randrange(2, 10), rng.uniform(0.2, 0.9), rng)
             dec = block_decomposition(g)
-            all_edges = [e for es in dec.block_edge_sets for e in es]
+            # Local vertex i of a block is its i-th smallest original vertex.
+            block_edges = [
+                [(verts[a], verts[b]) for a, b in bg.edges]
+                for verts, bg in zip(dec.blocks, dec.block_graphs)
+            ]
+            all_edges = [e for es in block_edges for e in es]
             assert sorted(all_edges) == list(g.edges)
             assert len(set(all_edges)) == g.m
-            # Local vertex i of a block is its i-th smallest original vertex.
-            for bg, verts, edges in zip(dec.block_graphs, dec.blocks, dec.block_edge_sets):
+            for bg, verts, edges in zip(dec.block_graphs, dec.blocks, block_edges):
                 assert bg.n == len(verts)
                 assert set(edges) == {
                     e for e in g.edges if e[0] in verts and e[1] in verts
@@ -100,7 +104,7 @@ class TestSoftLayer:
         reduced, seq = soft_layer_reduce(cycle(6))
         assert seq == (0,)
         assert (reduced.n, reduced.m) == (5, 4)
-        degs = sorted(reduced.degree(v) for v in range(5))
+        degs = sorted(len(nbrs) for nbrs in reduced.adjacency)
         assert degs == [1, 1, 2, 2, 2]
 
     def test_rejects_disconnected(self):

@@ -5,14 +5,12 @@ import pytest
 
 from mdlab.coloring import (
     EdgeColoring,
-    coloring_from_json,
-    coloring_to_json,
     is_md_coloring,
     merge_to_k,
     normalize,
     trivial_coloring,
 )
-from mdlab.graph import Graph6Error, components, from_graph6, graph, is_connected
+from mdlab.graph import components, graph, is_connected
 
 
 def k(n):
@@ -87,6 +85,10 @@ class TestVerifier:
         c = trivial_coloring(cycle(4))
         with pytest.raises(ValueError, match="different graph"):
             is_md_coloring(cycle(5), c)
+
+    def test_bool_colors_rejected_by_the_coloring(self):
+        with pytest.raises(ValueError):
+            EdgeColoring(k(3), (True, True, True))
 
     def test_single_vertex_vacuous(self):
         g = graph(1, [])
@@ -230,34 +232,3 @@ class TestRestriction:
                 checked += 1
         assert checked >= 20
 
-
-class TestJson:
-    def test_round_trip(self):
-        g = cycle(5)
-        c = EdgeColoring(g, (1, 2, 1, 2, 1))
-        assert coloring_from_json(coloring_to_json(c)) == c
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            coloring_from_json('{"graph6": "Bw"}')
-
-    def test_color_count_mismatch(self):
-        with pytest.raises(ValueError):
-            coloring_from_json('{"graph6": "Bw", "colors": [1, 2]}')
-
-    @pytest.mark.parametrize(
-        "colors", ['[1.7, 2, 1]', '"121"', '[true, 2, 1]', '["1", "2", "1"]']
-    )
-    def test_malformed_colors(self, colors):
-        with pytest.raises(ValueError):
-            coloring_from_json('{"graph6": "Bw", "colors": %s}' % colors)
-
-    def test_graph6_that_is_not_a_string(self):
-        with pytest.raises(Graph6Error):
-            from_graph6(5)
-        with pytest.raises(ValueError):
-            coloring_from_json('{"graph6": 5, "colors": []}')
-
-    def test_bool_colors_rejected_by_the_coloring(self):
-        with pytest.raises(ValueError):
-            EdgeColoring(k(3), (True, True, True))

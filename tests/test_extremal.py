@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mdlab import extremal
 from mdlab.extremal import (
     _adjacency,
     _canonical,
@@ -164,6 +165,16 @@ def test_parallel_census_equals_serial():
     serial = md_census(6, graphs=graphs, jobs=1)
     assert md_census(6, graphs=graphs, jobs=2) == serial
     assert len(serial) == CONNECTED_COUNTS[6]
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5])
+def test_census_refuses_bad_jobs_before_enumerating(jobs, monkeypatch):
+    def enumerate_nothing(n):
+        raise AssertionError("enumerated before checking jobs")
+
+    monkeypatch.setattr(extremal, "enumerate_connected", enumerate_nothing)
+    with pytest.raises(ValueError, match="jobs"):
+        md_census(5, jobs=jobs)
 
 
 def test_package_imports_without_numpy():

@@ -64,8 +64,8 @@ class TestCanonicalForm:
     def test_adjacency_matches_edges(self):
         g = graph(4, [(0, 1), (1, 2), (1, 3)])
         assert g.adjacency == ((1,), (0, 2, 3), (1,), (1,))
-        assert g.degree(1) == 3
-        assert g.neighbors(3) == (1,)
+        assert len(g.adjacency[1]) == 3
+        assert g.adjacency[3] == (1,)
 
 
 class TestGraph6:
@@ -79,6 +79,10 @@ class TestGraph6:
 
     def test_decode_single_vertex(self):
         assert from_graph6("@") == graph(1, [])
+
+    def test_graph6_that_is_not_a_string(self):
+        with pytest.raises(Graph6Error):
+            from_graph6(5)
 
     def test_encode_k3(self):
         assert to_graph6(k(3)) == "Bw"

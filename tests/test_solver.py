@@ -11,7 +11,6 @@ from mdlab.graph import graph, is_connected
 from mdlab.products import ProductKind, product
 from mdlab.solver import (
     SearchBudgetExceeded,
-    SearchConfig,
     md_exact,
     md_lower_bound,
     md_oracle,
@@ -237,24 +236,19 @@ class TestBudgets:
         assert result.value == 2
         # 1,188 nodes of main search plus 3 in the soft-layer sub-solve.
         assert result.stats["nodes"] == 1191
-        assert md_exact(HUB_AND_C4, SearchConfig(node_budget=1191)).value == 2
+        assert md_exact(HUB_AND_C4, node_budget=1191).value == 2
         with pytest.raises(SearchBudgetExceeded):
-            md_exact(HUB_AND_C4, SearchConfig(node_budget=1190))
+            md_exact(HUB_AND_C4, node_budget=1190)
 
     def test_upper_bound_sub_solve_honors_budget(self):
         with pytest.raises(SearchBudgetExceeded):
-            md_upper_bound(HUB_AND_C4, SearchConfig(node_budget=2))
-        assert md_upper_bound(HUB_AND_C4, SearchConfig(node_budget=3)) == (4, "half-order")
+            md_upper_bound(HUB_AND_C4, _budget=solver._Budget(2))
+        assert md_upper_bound(HUB_AND_C4, _budget=solver._Budget(3)) == (4, "half-order")
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_census_passes_config(self, jobs):
-        with pytest.raises(SearchBudgetExceeded):
-            md_census(
-                6,
-                graphs=list(enumerate_connected(6)),
-                jobs=jobs,
-                cfg=SearchConfig(node_budget=1),
-            )
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, True])
+    def test_budget_must_be_a_positive_int(self, budget):
+        with pytest.raises(ValueError):
+            md_exact(cycle(6), node_budget=budget)
 
 
 class TestLayerHooks:
