@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from mdlab.cli import main
 from mdlab.coloring import EdgeColoring, is_md_coloring
@@ -37,3 +41,17 @@ def test_disconnected_graph_fails(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not connected" in captured.err
+
+
+def test_module_entry_point_refuses_disconnected_graph():
+    # The `python -m mdlab.cli` path must turn main()'s failure into an exit code.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "mdlab.cli", "md", "Bw", "B?"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode != 0
+    assert done.stdout == ""
+    assert "not connected" in done.stderr

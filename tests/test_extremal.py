@@ -167,7 +167,7 @@ def test_parallel_census_equals_serial():
     assert len(serial) == CONNECTED_COUNTS[6]
 
 
-@pytest.mark.parametrize("jobs", [0, -3, 1.5])
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
 def test_census_refuses_bad_jobs_before_enumerating(jobs, monkeypatch):
     def enumerate_nothing(n):
         raise AssertionError("enumerated before checking jobs")

@@ -250,6 +250,14 @@ class TestBudgets:
         with pytest.raises(ValueError):
             md_exact(cycle(6), node_budget=budget)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_census_solves_with_md_exact_default_budget(self, jobs):
+        # md_census takes no budget: serial and worker solves alike must give
+        # md_exact's own value on every graph.
+        graphs = list(enumerate_connected(5))
+        rows = md_census(5, graphs=graphs, jobs=jobs)
+        assert [v for _, _, v in rows] == [md_exact(g).value for g in graphs]
+
 
 class TestLayerHooks:
     """Callers outside the package time and count layers by replacing these
