@@ -37,68 +37,92 @@ class BlockDecomposition:
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Hopcroft-Tarjan biconnected components of a connected graph.
 
-    One depth-first search from vertex 0; a vertex it leaves undiscovered
-    means g is disconnected, which raises ValueError.  Every edge lands in
-    exactly one block; K_0 and K_1 have no blocks.
+    One iterative depth-first search from vertex 0; a vertex it leaves
+    undiscovered means g is disconnected, which raises ValueError.  Every
+    edge is pushed once on an edge stack, and each vertex but the root on a
+    vertex stack, as it is reached.  When the tree edge (u, v) is pushed, both
+    stack heights are stored for v.  A block closes when the search backs out
+    of v with low[v] >= disc[u]: its edges are the edge stack from v's height
+    up, its vertices u and the vertex stack from v's height up, and both
+    stacks are cut back to those heights.  Every edge lands in exactly one
+    block; K_0 and K_1 have no blocks.
+
+    When g (n >= 2) is a single block, g itself is returned as its only block
+    graph: the local map is then the identity, and Graph is immutable, so the
+    caller's graph is shared rather than copied.
     """
     n = g.n
     if n == 0:
         return BlockDecomposition((), (), ())
+    adj = g.adjacency
     disc = [-1] * n
     low = [0] * n
-    parent_edge = [-1] * n
+    parent = [-1] * n
+    edge_height = [0] * n
+    vertex_height = [0] * n
     edge_stack: list[tuple[int, int]] = []
-    block_edge_lists: list[list[tuple[int, int]]] = []
+    vertex_stack: list[int] = []
+    found: list[tuple[list[int], list[tuple[int, int]]]] = []
     cut: set[int] = set()
-    # Iterative DFS; each frame is (vertex, neighbor iterator index).
-    stack = [(0, 0)]
     disc[0] = 0
     timer = 1
     root_children = 0
+    stack = [(0, iter(adj[0]))]
     while stack:
-        v, i = stack[-1]
-        nbrs = g.adjacency[v]
-        if i < len(nbrs):
-            stack[-1] = (v, i + 1)
-            w = nbrs[i]
-            if disc[w] == -1:
-                edge_stack.append((min(v, w), max(v, w)))
-                parent_edge[w] = v
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if disc[w] < 0:
+                parent[w] = v
                 disc[w] = low[w] = timer
                 timer += 1
-                stack.append((w, 0))
+                edge_height[w] = len(edge_stack)
+                vertex_height[w] = len(vertex_stack)
+                edge_stack.append((v, w))
+                vertex_stack.append(w)
+                stack.append((w, iter(adj[w])))
                 if v == 0:
                     root_children += 1
-            elif w != parent_edge[v] and disc[w] < disc[v]:
-                edge_stack.append((min(v, w), max(v, w)))
-                low[v] = min(low[v], disc[w])
+                break
+            if disc[w] < disc[v] and w != parent[v]:
+                edge_stack.append((v, w))
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
         else:
             stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    # u closes a block containing the tree edge (u, v).
-                    blk: list[tuple[int, int]] = []
-                    marker = (min(u, v), max(u, v))
-                    while True:
-                        e = edge_stack.pop()
-                        blk.append(e)
-                        if e == marker:
-                            break
-                    block_edge_lists.append(blk)
-                    if u != 0 or root_children > 1:
-                        cut.add(u)
+            if not stack:
+                break
+            u = parent[v]
+            if low[v] >= disc[u]:
+                # u closes a block containing the tree edge (u, v).
+                h = edge_height[v]
+                edges = edge_stack[h:]
+                del edge_stack[h:]
+                h = vertex_height[v]
+                verts = vertex_stack[h:]
+                del vertex_stack[h:]
+                verts.append(u)
+                found.append((verts, edges))
+                if u != 0 or root_children > 1:
+                    cut.add(u)
+            elif low[v] < low[u]:
+                low[u] = low[v]
     if timer < n:
         raise ValueError("block decomposition requires a connected graph")
+    if len(found) == 1:
+        return BlockDecomposition((tuple(range(n)),), (), (g,))
 
     local = [0] * n
     records = []
-    for blk in block_edge_lists:
-        verts = tuple(sorted({x for e in blk for x in e}))
-        for i, v in enumerate(verts):
-            local[v] = i
-        records.append((verts, graph(len(verts), [(local[a], local[b]) for a, b in blk])))
+    for verts, edges in found:
+        verts.sort()
+        for i, x in enumerate(verts):
+            local[x] = i
+        pairs = []
+        for a, b in edges:
+            a, b = local[a], local[b]
+            pairs.append((a, b) if a < b else (b, a))
+        pairs.sort()
+        records.append((tuple(verts), Graph(len(verts), tuple(pairs))))
     records.sort(key=lambda r: r[0])
     return BlockDecomposition(
         blocks=tuple(r[0] for r in records),

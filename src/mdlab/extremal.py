@@ -329,6 +329,8 @@ def md_census(
     else:
         pool = list(graphs)
         for gg in pool:
+            if not isinstance(gg, Graph):
+                raise ValueError(f"external catalog entry is not a Graph: {gg!r}")
             if gg.n != n or not is_connected(gg):
                 raise ValueError(
                     f"external catalog entry is not a connected {n}-vertex graph: "

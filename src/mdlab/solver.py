@@ -113,20 +113,30 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     Union-closure of: the three edges of each triangle, and each pair of
     opposite edges of each 4-cycle.  (The 4-cycle rule subsumes the K_{2,3}
     bundles: crossing pairs inside a double star chain together.)
+
+    Order contract: classes come by least edge index, and each class lists
+    its edges in edge order.  _SepTable breaks ties in its search order on
+    it, and the tests compare against it.
+
+    Each edge maps to its class's list of edge indices, and a union moves
+    the shorter list into the longer, so a union of two edges already in
+    one class costs one identity test.  Only vertex pairs with a common
+    neighbour are visited, and the closure stops once a single class is
+    left.
     """
     m = g.m
-    parent = list(range(m))
+    cls_of = [[i] for i in range(m)]
+    count = m
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+    def merge(a: int, b: int) -> None:
+        nonlocal count
+        big, small = cls_of[a], cls_of[b]
+        if len(big) < len(small):
+            big, small = small, big
+        big.extend(small)
+        for i in small:
+            cls_of[i] = big
+        count -= 1
 
     n = g.n
     eid = [[-1] * n for _ in range(n)]
@@ -135,38 +145,49 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
         eid[u][v] = eid[v][u] = i
         nbrs[u] |= 1 << v
         nbrs[v] |= 1 << u
-    for u in range(n):
+    for u in range(n - 1):
         eu = eid[u]
+        nu = nbrs[u]
         for v in range(u + 1, n):
-            w = nbrs[u] & nbrs[v]
+            w = nu & nbrs[v]
+            if not w:
+                continue
             xs = []
             while w:
                 bit = w & -w
                 w ^= bit
                 xs.append(bit.bit_length() - 1)
             ev = eid[v]
-            if eu[v] >= 0:
+            e = eu[v]
+            if e >= 0:
                 # Triangle u-v-x: all three edges share a color.
                 for x in xs:
-                    union(eu[v], eu[x])
-                    union(eu[v], ev[x])
+                    if cls_of[e] is not cls_of[eu[x]]:
+                        merge(e, eu[x])
+                    if cls_of[e] is not cls_of[ev[x]]:
+                        merge(e, ev[x])
             if len(xs) == 2:
                 # 4-cycle u-x-v-y: opposite edges share a color.
                 x, y = xs
-                union(eu[x], ev[y])
-                union(ev[x], eu[y])
+                if cls_of[eu[x]] is not cls_of[ev[y]]:
+                    merge(eu[x], ev[y])
+                if cls_of[ev[x]] is not cls_of[eu[y]]:
+                    merge(ev[x], eu[y])
             elif len(xs) > 2:
                 # With three or more common neighbors the opposite-edge pairs
                 # of all those 4-cycles chain every u-x and v-x edge together.
+                e = eu[xs[0]]
                 for x in xs:
-                    union(eu[xs[0]], eu[x])
-                    union(eu[xs[0]], ev[x])
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [
-        tuple(g.edges[i] for i in cls) for cls in sorted(groups.values())
-    ]
+                    if cls_of[e] is not cls_of[eu[x]]:
+                        merge(e, eu[x])
+                    if cls_of[e] is not cls_of[ev[x]]:
+                        merge(e, ev[x])
+            if count == 1:
+                return [g.edges]
+    # Keyed by identity, the first edge seen of each class orders the classes.
+    classes = {id(cls): cls for cls in cls_of}
+    edges = g.edges
+    return [tuple(edges[i] for i in sorted(cls)) for cls in classes.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations, permutations
@@ -19,7 +20,7 @@ from mdlab.extremal import (
     verify_f,
     verify_g,
 )
-from mdlab.graph import to_graph6
+from mdlab.graph import graph, to_graph6
 
 # OEIS A001349: connected graphs on n unlabeled vertices.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -175,6 +176,22 @@ def test_census_refuses_bad_jobs_before_enumerating(jobs, monkeypatch):
     monkeypatch.setattr(extremal, "enumerate_connected", enumerate_nothing)
     with pytest.raises(ValueError, match="jobs"):
         md_census(5, jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (graph(4, [(0, 1), (1, 2), (2, 3)]), "connected 5-vertex graph: Ch"),
+        (graph(5, [(0, 1), (2, 3), (3, 4)]), "connected 5-vertex graph: D`C"),
+        (None, "not a Graph: None"),
+        ("DQw", "not a Graph: 'DQw'"),
+    ],
+    ids=["wrong_order", "disconnected", "none", "graph6_text"],
+)
+def test_census_refuses_bad_catalog_entries(entry, message):
+    good = next(enumerate_connected(5))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        md_census(5, graphs=[good, entry])
 
 
 def test_package_imports_without_numpy():

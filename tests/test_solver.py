@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
 
@@ -94,6 +95,39 @@ def assert_classes_sound(g):
         assert not is_md_coloring(g, coloring)[0], (g.edges, tuple(a))
 
 
+def naive_mono_classes(g):
+    """Reference closure: a plain union over the edges of every triangle and
+    the opposite edges of every 4-cycle, classes by least edge index."""
+    parent = list(range(g.m))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(*edges):
+        ids = [g.edge_index[tuple(sorted(e))] for e in edges]
+        for i in ids[1:]:
+            parent[find(i)] = find(ids[0])
+
+    present = set(g.edges)
+
+    def adjacent(a, b):
+        return (min(a, b), max(a, b)) in present
+
+    for a, b, c in combinations(range(g.n), 3):
+        if adjacent(a, b) and adjacent(b, c) and adjacent(a, c):
+            union((a, b), (b, c), (a, c))
+    for a, b, c, d in permutations(range(g.n), 4):
+        if adjacent(a, b) and adjacent(b, c) and adjacent(c, d) and adjacent(d, a):
+            union((a, b), (c, d))
+            union((b, c), (d, a))
+    groups = {}
+    for i in range(g.m):
+        groups.setdefault(find(i), []).append(g.edges[i])
+    return [tuple(cls) for cls in groups.values()]
+
+
 class TestMonoClasses:
     def test_k4_single_class(self):
         assert len(mono_classes(k(4))) == 1
@@ -103,6 +137,18 @@ class TestMonoClasses:
 
     def test_k23_single_class(self):
         assert len(mono_classes(k23())) == 1
+
+    def test_equal_to_naive_closure(self):
+        # Exact, not only sound: classes that came out too fine would pass the
+        # soundness tests and only cost search nodes.
+        rng = random.Random(17)
+        graphs = list(connected_graphs(range(1, 7)))
+        graphs += [random_connected(rng.randrange(2, 11), rng.uniform(0.2, 0.9), rng) for _ in range(60)]
+        graphs += [k(n) for n in range(2, 7)]
+        graphs += [graph(2 + t, [(a, b) for a in range(2) for b in range(2, 2 + t)]) for t in (3, 4, 5)]
+        graphs += [graph(3, []), graph(3, [(0, 2)])]
+        for g in graphs:
+            assert mono_classes(g) == naive_mono_classes(g), g.edges
 
     def test_classes_partition_edges(self):
         rng = random.Random(5)
