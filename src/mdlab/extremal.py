@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -338,6 +337,10 @@ def md_census(
                 )
     g6s = [to_graph6(gg) for gg in pool]
     if jobs > 1:
+        # Imported here so that importing this module, and every serial
+        # census, skips loading concurrent.futures and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             values = list(ex.map(_md_of_graph6, g6s, chunksize=32))
     else:

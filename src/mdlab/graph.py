@@ -110,10 +110,24 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    """True when g has at most one component (the 0-vertex graph counts as connected)."""
+    """True when g has at most one component (the 0-vertex graph counts as connected).
+
+    One search from vertex 0 counts the vertices it reaches.
+    """
     if g.n <= 1:
         return True
-    return len(components(g)) == 1
+    adj = g.adjacency
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for y in adj[stack.pop()]:
+            if not seen[y]:
+                seen[y] = True
+                reached += 1
+                stack.append(y)
+    return reached == g.n
 
 
 # ---------------------------------------------------------------------------

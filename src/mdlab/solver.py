@@ -12,9 +12,16 @@ md_upper_bound raise ValueError through it on a disconnected graph.
 The upper bound is the least of four rules: n - 1 (vertex-bound), n/2 for a
 2-connected block (half-order), the number of forced-monochromatic edge
 classes (mono-classes), and the md of the graph left after stripping a soft
-layer of non-cut vertices (soft-layer), solved recursively on the caller's
-node budget.  The lower bound is closed-form (one, tree, unicyclic-half) and
-is reported in the bound trail only.
+layer of non-cut vertices (soft-layer).  Every edge of a tree is a bridge, so
+a tree reduction's md is its edge count; only a reduction with a cycle is
+solved by a nested md_exact on the caller's node budget.  The lower bound is
+closed-form (one, tree, unicyclic-half) and is reported in the bound trail
+only.
+
+Each block is class-closed once: the block's _SepTable is built first and
+handed to md_upper_bound, which reads the mono-classes count from it and,
+since only a block gets a table, applies half-order without a second block
+decomposition.  The search then runs on the same table.
 
 md_exact's node_budget keyword is the solver's one setting: every search node
 of a solve, its sub-solves included, is charged to it, and passing it raises
@@ -57,7 +64,7 @@ import time
 from dataclasses import dataclass, field
 
 from mdlab.analysis import block_decomposition, soft_layer_reduce
-from mdlab.coloring import EdgeColoring, is_md_coloring, merge_to_k, trivial_coloring
+from mdlab.coloring import EdgeColoring, is_md_coloring, merge_to_k
 from mdlab.graph import Graph, is_connected
 
 
@@ -194,15 +201,23 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
 # Bounds
 
 
-def md_upper_bound(g: Graph, _budget: _Budget | None = None) -> tuple[int, str]:
+def md_upper_bound(
+    g: Graph, _budget: _Budget | None = None, _table: _SepTable | None = None
+) -> tuple[int, str]:
     """Smallest applicable upper bound with the name of the rule that won.
 
-    The soft-layer rule solves a smaller graph exactly; its search nodes are
+    The soft-layer rule takes the md of a smaller graph: a tree's is its edge
+    count, and a reduction with a cycle is solved exactly, its search nodes
     charged to `_budget` (the caller's solve) or, without one, to a fresh
     budget of NODE_BUDGET nodes.  Running out raises SearchBudgetExceeded
-    rather than loosening the bound.  One block decomposition checks
-    connectivity (it raises ValueError on a disconnected graph) and, when it
-    finds no cut vertex, admits the half-order rule.
+    rather than loosening the bound.  Without `_table`, one block
+    decomposition checks connectivity (it raises ValueError on a disconnected
+    graph) and, when it finds no cut vertex, admits the half-order rule.
+
+    md_exact passes each block's _SepTable as `_table`: the mono-classes
+    count is then its class count, and half-order applies without a block
+    decomposition, because a table is only built for a block.  The result
+    equals that of the call without it.
 
     The search's packing value (_SepTable.packing, pack[0]) is often tighter
     than every rule here, but it is deliberately not a rule yet: it would
@@ -212,16 +227,20 @@ def md_upper_bound(g: Graph, _budget: _Budget | None = None) -> tuple[int, str]:
     if g.n < 2:
         raise ValueError("bounds are defined for connected graphs on >= 2 vertices")
     best, name = g.n - 1, "vertex-bound"
-    if not block_decomposition(g).cut_vertices and g.n // 2 < best:
+    two_connected = _table is not None or not block_decomposition(g).cut_vertices
+    if two_connected and g.n // 2 < best:
         best, name = g.n // 2, "half-order"
     if best > 1:
-        count = len(mono_classes(g))
+        count = len(_table.classes if _table is not None else mono_classes(g))
         if count < best:
             best, name = count, "mono-classes"
     if best > 1:
         reduced, seq = soft_layer_reduce(g)
         if seq:
-            value = md_exact(reduced, _budget=_budget).value
+            if reduced.m == reduced.n - 1:
+                value = reduced.m  # a tree: every edge is a bridge
+            else:
+                value = md_exact(reduced, _budget=_budget).value
             if value < best:
                 best, name = value, "soft-layer"
     return best, name
@@ -413,20 +432,21 @@ def md_feasible(g: Graph, k: int) -> EdgeColoring | None:
 
 def _solve_connected(
     g: Graph, budget: _Budget
-) -> tuple[int, EdgeColoring, list[tuple[str, int]]]:
-    """Exact md of a connected graph on >= 2 vertices, no block splitting."""
-    upper, upper_name = md_upper_bound(g, _budget=budget)
+) -> tuple[int, list[int], list[tuple[str, int]]]:
+    """md of a 2-connected block on >= 3 vertices, the 0-based color of each
+    of its edges in edge order, and its bound trail."""
+    table = _SepTable(g)
+    upper, upper_name = md_upper_bound(g, _budget=budget, _table=table)
     lower, lower_name = md_lower_bound(g)
     trail = [(upper_name, upper), (lower_name, lower)]
-    if upper == 1:
-        return 1, trivial_coloring(g), trail
-    table = _SepTable(g)
     colors = [0] * g.m
-    for cls, col in zip(table.classes, _search(table, upper, budget)):
+    if upper == 1:
+        return 1, colors, trail
+    class_colors = _search(table, upper, budget)
+    for cls, col in zip(table.classes, class_colors):
         for e in cls:
-            colors[g.edge_index[e]] = col + 1
-    coloring = EdgeColoring(g, tuple(colors))
-    return coloring.k, coloring, trail
+            colors[g.edge_index[e]] = col
+    return len(set(class_colors)), colors, trail
 
 
 def md_exact(
@@ -438,10 +458,11 @@ def md_exact(
     solves each non-trivial block by one branch-and-bound, then assembles a
     whole-graph coloring from the block colorings on disjoint palettes, each
     block edge mapped back through the block's sorted vertex tuple.  The
-    assembled certificate is re-verified before returning.  Spending more
-    than node_budget search nodes (an int >= 1) raises SearchBudgetExceeded.
-    A bound's sub-solve passes its caller's budget as `_budget`, so
-    stats["nodes"] and node_budget cover the whole solve.
+    assembled certificate, the only EdgeColoring a solve builds, is
+    re-verified before returning.  Spending more than node_budget search
+    nodes (an int >= 1) raises SearchBudgetExceeded.  A bound's sub-solve
+    passes its caller's budget as `_budget`, so stats["nodes"] and
+    node_budget cover the whole solve.
     """
     started = time.perf_counter()
     budget = _budget if _budget is not None else _Budget(node_budget)
@@ -455,18 +476,19 @@ def md_exact(
     dec = block_decomposition(g)
     multi = len(dec.blocks) > 1
     total = 0
-    offset = 0
     trail: list[tuple[str, int]] = []
     colors = [0] * g.m
     solved: list[int] = []
     for bi, (verts, bg) in enumerate(zip(dec.blocks, dec.block_graphs)):
         prefix = f"block{bi}:" if multi else ""
+        if bg.n == 2:
+            colors[g.edge_index[verts]] = total + 1
+            solved.append(1)
+            trail.append((prefix + "bridge", 1))
+            total += 1
+            continue
         try:
-            if bg.n == 2:
-                value, block_col = 1, trivial_coloring(bg)
-                block_trail = [("bridge", 1)]
-            else:
-                value, block_col, block_trail = _solve_connected(bg, budget)
+            value, block_colors, block_trail = _solve_connected(bg, budget)
         except SearchBudgetExceeded as exc:
             done = sum(solved)
             remaining = len(dec.blocks) - len(solved)
@@ -478,9 +500,8 @@ def md_exact(
             ) from exc
         solved.append(value)
         trail.extend((prefix + name, val) for name, val in block_trail)
-        for (u, v), c in zip(bg.edges, block_col.colors):
-            colors[g.edge_index[(verts[u], verts[v])]] = c + offset
-        offset += value
+        for (u, v), c in zip(bg.edges, block_colors):
+            colors[g.edge_index[(verts[u], verts[v])]] = c + total + 1
         total += value
     if multi:
         trail.append(("block-sum", total))

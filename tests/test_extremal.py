@@ -194,9 +194,10 @@ def test_census_refuses_bad_catalog_entries(entry, message):
         md_census(5, graphs=[good, entry])
 
 
-def test_package_imports_without_numpy():
+def fresh_import(imports, module):
+    """Whether `module` is loaded after `import <imports>` in a new interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, mdlab, mdlab.extremal, mdlab.cli; print('numpy' in sys.modules)"
+    code = f"import sys, {imports}; print({module!r} in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -204,4 +205,14 @@ def test_package_imports_without_numpy():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_package_imports_without_numpy():
+    assert not fresh_import("mdlab, mdlab.extremal, mdlab.cli", "numpy")
+
+
+def test_extremal_imports_no_process_pool():
+    # The pool is imported by md_census(jobs > 1) alone; the jobs=2 census
+    # tests cover that path.
+    assert not fresh_import("mdlab.extremal", "concurrent.futures.process")

@@ -148,6 +148,17 @@ class TestConnectivity:
     def test_empty_graph_connected_by_convention(self):
         assert is_connected(graph(0, []))
 
+    def test_agrees_with_components_on_every_small_labelled_graph(self):
+        # All 1,100 labelled graphs on 0-5 vertices, disconnected ones included.
+        checked = 0
+        for n in range(6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for bits in range(1 << len(pairs)):
+                g = graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                assert is_connected(g) == (len(components(g)) <= 1), (n, g.edges)
+                checked += 1
+        assert checked == 1100
+
 
 class TestOddGirth:
     def test_c6_bipartite(self):

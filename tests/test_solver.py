@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from mdlab import solver
-from mdlab.analysis import block_decomposition
+from mdlab.analysis import block_decomposition, soft_layer_reduce
 from mdlab.coloring import EdgeColoring, is_md_coloring
 from mdlab.extremal import enumerate_connected, md_census
 from mdlab.graph import graph, is_connected
@@ -244,6 +244,23 @@ def census_blocks():
     return tuple(blocks.values())
 
 
+class TestOnePassPerBlock:
+    def test_table_hand_off_gives_the_same_bound(self):
+        for bg in census_blocks():
+            assert md_upper_bound(bg, _table=solver._SepTable(bg)) == md_upper_bound(bg), bg.edges
+
+    def test_tree_reductions_take_their_edge_count(self):
+        # The soft-layer rule's closed form, checked against the solve it replaces.
+        trees = 0
+        for bg in census_blocks():
+            reduced, seq = soft_layer_reduce(bg)
+            if seq and reduced.m == reduced.n - 1:
+                assert md_exact(reduced).value == reduced.m, bg.edges
+                trees += 1
+        # Every census block has a reduction, and all but two are trees.
+        assert trees == 613
+
+
 class TestPackingCut:
     def test_suffix_bounds_on_census_blocks(self):
         # Soundness of the cut, suffix by suffix: the colors of an extremal
@@ -330,12 +347,13 @@ class TestLayerHooks:
 
         for name in self.LAYERS:
             monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
-        # C6: its soft-layer bound solves the path P5 through md_exact again.
-        assert solver.md_exact(cycle(6)).value == 3
+        # HUB_AND_C4: its soft-layer bound solves C4 with four pendant edges
+        # through md_exact again (a tree reduction would not be solved).
+        assert solver.md_exact(HUB_AND_C4).value == 2
         assert calls["md_exact"] == 2
         assert all(calls[name] > 0 for name in self.LAYERS), calls
         # md_feasible merges the certificate of a solve made through the module.
-        assert solver.md_feasible(cycle(6), 2).k == 2
+        assert solver.md_feasible(HUB_AND_C4, 2).k == 2
         assert calls["md_exact"] == 4
 
     def test_census_solves_through_the_module(self, monkeypatch):
@@ -355,5 +373,8 @@ class TestLayerHooks:
         monkeypatch.setattr(solver, "md_exact", counting)
         md_census(4, graphs=list(enumerate_connected(4)))
         assert calls["top"] == 6
-        # C4's soft-layer bound solves the path P3.
-        assert calls["nested"] == 1
+        # C4's soft-layer reduction is the path P3, a tree: no nested solve.
+        assert calls["nested"] == 0
+        # HUB_AND_C4's reduction has a cycle, so its bound solves it nested.
+        md_census(9, graphs=[HUB_AND_C4])
+        assert calls == {"top": 7, "nested": 1}
