@@ -45,11 +45,6 @@ class EdgeColoring:
         return self.colors[self.graph.edge_index[(u, v)]]
 
 
-def trivial_coloring(g: Graph) -> EdgeColoring:
-    """Everything gets color 1; separates all pairs of any connected graph."""
-    return EdgeColoring(g, (1,) * g.m)
-
-
 def normalize(c: EdgeColoring) -> EdgeColoring:
     """Renumber colors to 1..k by first occurrence in canonical edge order."""
     remap: dict[int, int] = {}

@@ -33,12 +33,17 @@ it makes opposite edges equal, so the union-closure of those constraints is
 monochromatic under every separating coloring.  This refines nothing away and
 shrinks the search space a lot on dense or product-shaped inputs.
 
-Classes are assigned in index order, so the unassigned classes U are always a
-suffix.  With sep(S) the mask of vertex pairs split by deleting every class in
-S, and A_j the classes of color j, a node is dead iff
-OR_{j < opened} sep(A_j | U) misses a pair: no completion can then split that
-pair.  sep is memoized once per block and shared by every branch of its
-search, so a node costs at most one table lookup per opened color.
+Classes are assigned in the table's search order, so the unassigned classes
+U are always a suffix.  That order puts the classes largest first and then
+groups them by component of P, the graph of class pairs that are
+self-separating together (see _SepTable.packing), so a wrong pairing dies
+near the node that made it.  With sep(S) the mask of vertex pairs split by
+deleting every class in S, and A_j the classes of color j, a node is dead
+iff OR_{j < opened} sep(A_j | U) misses a pair: no completion can then split
+that pair.  sep is memoized once per block, keyed by class bitmask in the
+current order (the grouping moves the bits of the keys the packing walk
+made), and shared by every branch of the search, so a node costs at most one
+table lookup per opened color.
 
 The search cuts a node when its open colors plus pack[i] cannot beat the best
 leaf, where pack[i] bounds the colors that the suffix U alone can make: every
@@ -122,8 +127,9 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     bundles: crossing pairs inside a double star chain together.)
 
     Order contract: classes come by least edge index, and each class lists
-    its edges in edge order.  _SepTable breaks ties in its search order on
-    it, and the tests compare against it.
+    its edges in edge order.  _SepTable's first order (largest first) breaks
+    ties on it before its grouping by component, and the tests compare
+    against it.
 
     Each edge maps to its class's list of edge indices, and a union moves
     the shorter list into the longer, so a union of two edges already in
@@ -246,9 +252,14 @@ def md_upper_bound(
     return best, name
 
 
-def md_lower_bound(g: Graph) -> tuple[int, str]:
-    """Largest closed-form lower bound with the name of the rule that won."""
-    if not is_connected(g) or g.n < 2:
+def md_lower_bound(g: Graph, _block: bool = False) -> tuple[int, str]:
+    """Largest closed-form lower bound with the name of the rule that won.
+
+    md_exact passes `_block=True` for a block of its decomposition, which
+    is connected already, so the connectivity search is skipped; the bound
+    is the same.  Called alone, a disconnected graph raises ValueError.
+    """
+    if g.n < 2 or not (_block or is_connected(g)):
         raise ValueError("bounds are defined for connected graphs on >= 2 vertices")
     best, name = 1, "one"
     if g.m == g.n - 1 and g.n - 1 > best:
@@ -263,12 +274,18 @@ def md_lower_bound(g: Graph) -> tuple[int, str]:
 
 
 class _SepTable:
-    """One block's mono classes in search order (largest first, ties by first
-    edge index) and its memo from a class bitmask S to sep(S), with pair
-    (u, v) at bit u*n + v; `full` holds every pair with u != v.  Built once
-    per searched block and hit across the branches of its one search."""
+    """One block's mono classes in search order and its memo from a class
+    bitmask S to sep(S), with pair (u, v) at bit u*n + v; `full` holds every
+    pair with u != v.  Built once per block of three or more vertices and
+    hit across the branches of its one search.
 
-    __slots__ = ("classes", "full", "_n", "_memo")
+    The classes start largest first, ties by first edge index; packing()
+    then groups them by component of the pair graph P (see there), and the
+    search reads them in that final order.  Each class also keeps its
+    incidences, (vertex, neighbour bits) per vertex it touches, so a memo
+    miss ORs them into an adjacency without walking edge tuples."""
+
+    __slots__ = ("classes", "full", "_n", "_inc", "_memo")
 
     def __init__(self, g: Graph):
         classes = mono_classes(g)
@@ -276,43 +293,50 @@ class _SepTable:
         self.classes = classes
         n = self._n = g.n
         self.full = ((1 << (n * n)) - 1) ^ sum(1 << (u * n + u) for u in range(n))
+        self._inc: list[tuple[tuple[int, int], ...]] | None = None
         self._memo: dict[int, int] = {}
 
     def sep(self, deleted: int) -> int:
+        """Pairs split by deleting the classes in `deleted`.  A miss runs one
+        BFS per component C and adds C's block of joined pairs as the single
+        product comp * spread, spread = sum of 1 << (n*x) over x in C: comp <
+        2^n and the bits of spread lie n apart, so no carry crosses a block
+        and the product is sum of comp << (n*x)."""
         mask = self._memo.get(deleted)
         if mask is not None:
             return mask
         n = self._n
+        if self._inc is None:
+            self._inc = [_incidences(cls) for cls in self.classes]
         adj = [0] * n
-        for ci, cls in enumerate(self.classes):
+        for ci, inc in enumerate(self._inc):
             if not (deleted >> ci) & 1:
-                for u, v in cls:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
+                for x, bits in inc:
+                    adj[x] |= bits
         joined = 0
         todo = (1 << n) - 1
         while todo:
             comp = frontier = todo & -todo
+            spread = 0
             while frontier:
                 reach = 0
                 while frontier:
                     bit = frontier & -frontier
                     frontier ^= bit
-                    reach |= adj[bit.bit_length() - 1]
+                    x = bit.bit_length() - 1
+                    reach |= adj[x]
+                    spread |= 1 << (n * x)
                 frontier = reach & ~comp
                 comp |= frontier
             todo &= ~comp
-            w = comp
-            while w:
-                bit = w & -w
-                w ^= bit
-                joined |= comp << (n * (bit.bit_length() - 1))
+            joined |= comp * spread
         mask = self._memo[deleted] = self.full & ~joined
         return mask
 
     def packing(self) -> list[int]:
         """pack[i] bounds the colors a separating coloring can make of the
-        classes i..t-1 alone; pack[t] = 0.
+        classes i..t-1 alone; pack[t] = 0.  Puts the classes in component
+        order first, so read self.classes after calling it.
 
         Every color is self-separating: deleting it splits the ends of each of
         its edges.  Of the suffix U, s classes are self-separating alone; the
@@ -320,8 +344,33 @@ class _SepTable:
         of P, the graph of self-separating pairs on them, so such colors form
         a matching of P, at most B = sum over P's components C of |C| // 2.
         Every further color takes three classes or more, which gives
-        pack = s + B + (|U| - s - 2B) // 3.  Walking i down with one
-        union-find tests each class once alone and each pair at most once.
+        pack = s + B + (|U| - s - 2B) // 3.
+
+        The walk's union-find ends with P's components.  The classes are then
+        stably sorted by the least index in their component (a self-separating
+        class is a component of its own), so classes that can pair up sit
+        together and a wrong pairing dies near the node that made it; and the
+        walk is rerun in that order, where a pair from two components is
+        known not to be an edge of P and is never tested.
+        """
+        pack, root = self._walk(None)
+        t = len(self.classes)
+        first: dict[int, int] = {}
+        for i in range(t):
+            first.setdefault(root[i], i)
+        order = sorted(range(t), key=lambda i: first[root[i]])
+        if order == list(range(t)):
+            return pack
+        self._reorder(order)
+        pack, _ = self._walk([first[root[i]] for i in order])
+        return pack
+
+    def _walk(self, component: list[int] | None) -> tuple[list[int], list[int]]:
+        """pack for the current order and each class's union-find root.
+
+        Walking i down with one union-find tests each class once alone and
+        each pair at most once; with `component` given, only pairs with equal
+        labels are tested.
         """
         t, n = len(self.classes), self._n
         sep = self.sep
@@ -343,6 +392,8 @@ class _SepTable:
                 s += 1
             else:
                 for j in in_p:
+                    if component is not None and component[i] != component[j]:
+                        continue
                     ri, rj = find(i), find(j)
                     both = own[i] | own[j]
                     if ri != rj and sep((1 << i) | (1 << j)) & both == both:
@@ -351,7 +402,35 @@ class _SepTable:
                         size[ri] += size[rj]
                 in_p.append(i)
             pack[i] = s + b + (t - i - s - 2 * b) // 3
-        return pack
+        return pack, [find(i) for i in range(t)]
+
+    def _reorder(self, order: list[int]) -> None:
+        """Make class order[k] the k-th class; the memo is re-keyed by moving
+        the bits of each key, not cleared."""
+        self.classes = [self.classes[i] for i in order]
+        if self._inc is not None:
+            self._inc = [self._inc[i] for i in order]
+        bit_of = [0] * len(order)
+        for k, i in enumerate(order):
+            bit_of[i] = 1 << k
+        memo = {}
+        for key, mask in self._memo.items():
+            new = 0
+            while key:
+                low = key & -key
+                key ^= low
+                new |= bit_of[low.bit_length() - 1]
+            memo[new] = mask
+        self._memo = memo
+
+
+def _incidences(cls: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """(x, OR of 1 << y over the class's edges xy) for each vertex x of the class."""
+    bits: dict[int, int] = {}
+    for u, v in cls:
+        bits[u] = bits.get(u, 0) | 1 << v
+        bits[v] = bits.get(v, 0) | 1 << u
+    return tuple(bits.items())
 
 
 def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
@@ -373,9 +452,9 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
     Since pack[0] bounds every separating coloring, the color count is capped
     at min(upper, pack[0]), and a leaf reaching the cap ends the search.
     """
+    pack = table.packing()  # first: it fixes the class order
     t = len(table.classes)
     sep, full = table.sep, table.full
-    pack = table.packing()
     upper = min(upper, pack[0])
     members = [0] * upper
     color_of_class = [0] * t
@@ -437,7 +516,7 @@ def _solve_connected(
     of its edges in edge order, and its bound trail."""
     table = _SepTable(g)
     upper, upper_name = md_upper_bound(g, _budget=budget, _table=table)
-    lower, lower_name = md_lower_bound(g)
+    lower, lower_name = md_lower_bound(g, _block=True)
     trail = [(upper_name, upper), (lower_name, lower)]
     colors = [0] * g.m
     if upper == 1:

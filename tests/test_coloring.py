@@ -8,7 +8,6 @@ from mdlab.coloring import (
     is_md_coloring,
     merge_to_k,
     normalize,
-    trivial_coloring,
 )
 from mdlab.graph import components, graph, is_connected
 
@@ -49,7 +48,7 @@ class TestVerifier:
         rng = random.Random(3)
         for _ in range(20):
             g = random_connected(rng.randrange(1, 8), 0.5, rng)
-            assert is_md_coloring(g, trivial_coloring(g)) == (True, ())
+            assert is_md_coloring(g, EdgeColoring(g, (1,) * g.m)) == (True, ())
 
     def test_c4_alternating(self):
         # Opposite corners are separated by removing either class.
@@ -82,7 +81,7 @@ class TestVerifier:
         assert verdicts == {True, False}
 
     def test_graph_mismatch_rejected(self):
-        c = trivial_coloring(cycle(4))
+        c = EdgeColoring(cycle(4), (1,) * 4)
         with pytest.raises(ValueError, match="different graph"):
             is_md_coloring(cycle(5), c)
 
@@ -92,7 +91,7 @@ class TestVerifier:
 
     def test_single_vertex_vacuous(self):
         g = graph(1, [])
-        assert is_md_coloring(g, trivial_coloring(g)) == (True, ())
+        assert is_md_coloring(g, EdgeColoring(g, (1,) * g.m)) == (True, ())
 
 
 class TestC4Classification:
@@ -158,7 +157,7 @@ class TestMergeAndNormalize:
     def test_merge_to_one_is_trivial(self):
         g = cycle(6)
         c = EdgeColoring(g, (1, 2, 3, 1, 2, 3))
-        assert merge_to_k(c, 1) == trivial_coloring(g)
+        assert merge_to_k(c, 1) == EdgeColoring(g, (1,) * g.m)
 
     def test_merge_extremal_c6(self):
         # A 3-class coloring of C_6 pairing opposite edges separates all
@@ -190,7 +189,7 @@ class TestMergeAndNormalize:
         assert checked >= 10
 
     def test_merge_domain(self):
-        c = trivial_coloring(cycle(4))
+        c = EdgeColoring(cycle(4), (1,) * 4)
         with pytest.raises(ValueError):
             merge_to_k(c, 2)
 

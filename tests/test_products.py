@@ -18,6 +18,7 @@ C5 = cycle_graph(5).graph
 C6 = cycle_graph(6).graph
 C7 = cycle_graph(7).graph
 C8 = cycle_graph(8).graph
+C9 = cycle_graph(9).graph
 
 # Every unordered pair of connected factors on 2-4 vertices (9 graphs, 45
 # pairs), and every pair of connected factors on 3-5 vertices with minimum
@@ -50,17 +51,18 @@ def pair_id(pair):
 
 
 # The search node counts pin the search order as well as the values: a change
-# to the pruning that keeps md but explores a different tree shows here.  A
-# packing cut that stops pruning turns the last three into millions of nodes.
+# to the pruning or to the class order that keeps md but explores a different
+# tree shows here.  A packing cut that stops pruning turns the last three into
+# millions of nodes.
 @pytest.mark.parametrize(
     "g, h, kind, md, nodes",
     [
-        (C5, C5, ProductKind.CARTESIAN, 4, 23),
-        (C6, C6, ProductKind.CARTESIAN, 6, 56),
-        (C5, C5, ProductKind.TENSOR, 4, 129),
-        (C7, C7, ProductKind.CARTESIAN, 6, 101),
-        (C8, C8, ProductKind.CARTESIAN, 8, 299),
-        (C7, C7, ProductKind.TENSOR, 6, 1696),
+        (C5, C5, ProductKind.CARTESIAN, 4, 17),
+        (C6, C6, ProductKind.CARTESIAN, 6, 32),
+        (C5, C5, ProductKind.TENSOR, 4, 18),
+        (C7, C7, ProductKind.CARTESIAN, 6, 66),
+        (C8, C8, ProductKind.CARTESIAN, 8, 204),
+        (C7, C7, ProductKind.TENSOR, 6, 57),
     ],
     ids=["c5_box_c5", "c6_box_c6", "c5_x_c5", "c7_box_c7", "c8_box_c8", "c7_x_c7"],
 )
@@ -71,6 +73,22 @@ def test_product_md_and_search_nodes(g, h, kind, md, nodes):
     assert result.stats["nodes"] == nodes
     ok, _ = is_md_coloring(p, result.certificate)
     assert ok and result.certificate.k == md
+
+
+# Each 81-vertex product solves under a budget of about three times its node
+# count.  Without the component order of the classes, C9 x C9 runs past
+# 300,000 nodes, so a lost order fails here in seconds through
+# SearchBudgetExceeded.
+@pytest.mark.parametrize(
+    "kind, nodes",
+    [(ProductKind.CARTESIAN, 485), (ProductKind.TENSOR, 370)],
+    ids=["c9_box_c9", "c9_x_c9"],
+)
+def test_c9_products_within_a_tight_budget(kind, nodes):
+    p = product(C9, C9, kind)
+    result = md_exact(p, node_budget=3 * nodes)
+    assert result.value == 8
+    assert result.stats["nodes"] == nodes
 
 
 def test_cartesian_coloring_uses_md_plus_md_colors():

@@ -179,7 +179,9 @@ class TestMonoClasses:
                 checked += 1
 
 
-@pytest.mark.parametrize("solve", [md_exact, md_upper_bound], ids=["md_exact", "md_upper_bound"])
+@pytest.mark.parametrize(
+    "solve", [md_exact, md_upper_bound, md_lower_bound], ids=["md_exact", "md_upper_bound", "md_lower_bound"]
+)
 def test_rejects_disconnected(solve):
     with pytest.raises(ValueError):
         solve(graph(4, [(0, 1), (2, 3)]))
@@ -249,6 +251,10 @@ class TestOnePassPerBlock:
         for bg in census_blocks():
             assert md_upper_bound(bg, _table=solver._SepTable(bg)) == md_upper_bound(bg), bg.edges
 
+    def test_block_lower_bound_skips_only_the_connectivity_search(self):
+        for bg in census_blocks():
+            assert md_lower_bound(bg, _block=True) == md_lower_bound(bg), bg.edges
+
     def test_tree_reductions_take_their_edge_count(self):
         # The soft-layer rule's closed form, checked against the solve it replaces.
         trees = 0
@@ -293,15 +299,69 @@ class TestPackingCut:
                 assert solver._SepTable(g).packing()[0] >= md_oracle(g), g.edges
 
 
+def the_three_products():
+    return [product(cycle(5), cycle(5), ProductKind.CARTESIAN),
+            product(cycle(6), cycle(6), ProductKind.CARTESIAN),
+            product(cycle(5), cycle(5), ProductKind.TENSOR)]
+
+
+def pair_mask_by_components(g, classes, deleted):
+    """Bit u*n + v for every ordered pair u != v that deleting the classes in
+    `deleted` puts in different components, from a plain union-find."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for ci, cls in enumerate(classes):
+        if not (deleted >> ci) & 1:
+            for u, v in cls:
+                parent[find(u)] = find(v)
+    roots = [find(x) for x in range(g.n)]
+    return sum(1 << (u * g.n + v) for u in range(g.n) for v in range(g.n) if roots[u] != roots[v])
+
+
+class TestSepTable:
+    def test_memo_after_reorder_equals_a_fresh_table(self):
+        # Every entry left by the packing walks (some re-keyed by the reorder)
+        # and the search equals sep computed afresh in the same class order.
+        reordered = 0
+        for g in list(census_blocks()) + the_three_products():
+            table = solver._SepTable(g)
+            solver._search(table, g.n // 2, solver._Budget(solver.NODE_BUDGET))
+            fresh = solver._SepTable(g)
+            index = {cls: i for i, cls in enumerate(fresh.classes)}
+            order = [index[cls] for cls in table.classes]
+            reordered += order != sorted(order)
+            fresh._reorder(order)
+            assert fresh.classes == table.classes and not fresh._memo
+            for key, mask in table._memo.items():
+                assert fresh.sep(key) == mask, (g.edges, key)
+        assert reordered > 0
+
+    def test_sep_equals_plain_components_on_every_subset(self):
+        blocks = [g for g in census_blocks() if len(solver._SepTable(g).classes) <= 10]
+        blocks += [g for g in the_three_products() if len(solver._SepTable(g).classes) <= 10]
+        assert len(blocks) == 617  # all 615 census blocks, C5 box C5 and C5 x C5
+        for g in blocks:
+            table = solver._SepTable(g)
+            table.packing()
+            for deleted in range(1 << len(table.classes)):
+                want = pair_mask_by_components(g, table.classes, deleted)
+                assert table.sep(deleted) == want, (g.edges, deleted)
+
+
 class TestBudgets:
     def test_soft_layer_sub_solve_is_charged(self):
         result = md_exact(HUB_AND_C4)
         assert result.value == 2
-        # 1,188 nodes of main search plus 3 in the soft-layer sub-solve.
-        assert result.stats["nodes"] == 1191
-        assert md_exact(HUB_AND_C4, node_budget=1191).value == 2
+        # 205 nodes of main search plus 3 in the soft-layer sub-solve.
+        assert result.stats["nodes"] == 208
+        assert md_exact(HUB_AND_C4, node_budget=208).value == 2
         with pytest.raises(SearchBudgetExceeded):
-            md_exact(HUB_AND_C4, node_budget=1190)
+            md_exact(HUB_AND_C4, node_budget=207)
 
     def test_upper_bound_sub_solve_honors_budget(self):
         with pytest.raises(SearchBudgetExceeded):
