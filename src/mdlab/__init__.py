@@ -10,11 +10,8 @@ exhaustive enumeration, and covers the four standard graph products.
 from mdlab.graph import (
     Graph,
     Graph6Error,
-    INFINITE,
-    components,
     from_graph6,
     graph,
-    is_bipartite,
     is_connected,
     min_degree,
     odd_girth,
@@ -24,11 +21,8 @@ from mdlab.graph import (
 __all__ = [
     "Graph",
     "Graph6Error",
-    "INFINITE",
-    "components",
     "from_graph6",
     "graph",
-    "is_bipartite",
     "is_connected",
     "min_degree",
     "odd_girth",

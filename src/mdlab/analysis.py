@@ -4,15 +4,15 @@ reduction.
 md adds over blocks, so the solver works block by block; one depth-first
 search both checks connectivity and yields the blocks and cut vertices, and a
 block's sorted vertex tuple is the only map between its local and original
-vertex ids.  soft_layer_reduce yields the smaller graph whose md the solver's
-soft-layer rule uses as an upper bound.
+vertex ids.  soft_layer_reduce strips a soft layer of non-cut vertices; the
+solver's soft-layer rule bounds md by the vertex bound of what survives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mdlab.graph import Graph, graph
+from mdlab.graph import Graph
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,13 @@ def _spans_connected(masks: list[int], vertex_set: int) -> bool:
     return seen == vertex_set
 
 
-def soft_layer_reduce(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+def soft_layer_reduce(g: Graph) -> tuple[int, ...]:
     """Greedily strip vertices of current degree >= 2 that are not cut vertices.
 
     A vertex is eligible when it is alive, has at least two alive neighbors,
     and the alive set without it stays connected.  Each round removes the
-    smallest eligible id, so every prefix of the returned sequence (original
-    ids) is a valid layer.  The survivors keep their relative order in the
-    reduced graph.
+    smallest eligible id and the stripped vertices are returned in that
+    order, so every prefix of the sequence is a valid layer.
     """
     masks = _neighbor_masks(g)
     alive = (1 << g.n) - 1
@@ -184,10 +183,4 @@ def soft_layer_reduce(g: Graph) -> tuple[Graph, tuple[int, ...]]:
                 alive ^= bit
                 break
         else:
-            break
-    keep = [v for v in range(g.n) if (alive >> v) & 1]
-    local = {v: i for i, v in enumerate(keep)}
-    reduced = graph(
-        len(keep), [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
-    )
-    return reduced, tuple(removed)
+            return tuple(removed)

@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-#: Returned by odd_girth for bipartite graphs.
-INFINITE = math.inf
-
 
 class Graph6Error(ValueError):
     """Raised for malformed or unsupported graph6 text."""
@@ -88,27 +85,6 @@ def min_degree(g: Graph) -> int:
 # Connectivity
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by smallest member."""
-    seen = [False] * g.n
-    out: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        out.append(sorted(comp))
-    return out
-
-
 def is_connected(g: Graph) -> bool:
     """True when g has at most one component (the 0-vertex graph counts as connected).
 
@@ -131,36 +107,18 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bipartiteness and odd girth
-
-
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in g.adjacency[x]:
-                if color[y] == -1:
-                    color[y] = color[x] ^ 1
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return False
-    return True
+# Odd girth
 
 
 def odd_girth(g: Graph) -> int | float:
-    """Length of a shortest odd cycle, or INFINITE when the graph is bipartite.
+    """Length of a shortest odd cycle, or math.inf when the graph is bipartite.
 
     For every start vertex a BFS level labeling is computed; an edge joining
     two vertices on the same level closes an odd walk of length 2*level + 1,
     and the minimum of those over all starts is attained by a shortest odd
     cycle.
     """
-    best = INFINITE
+    best = math.inf
     for s in range(g.n):
         dist = [-1] * g.n
         dist[s] = 0

@@ -9,14 +9,13 @@ separating, so md_feasible(g, k) merges the extremal coloring to k colors.
 The block decomposition is also the connectivity check: md_exact and
 md_upper_bound raise ValueError through it on a disconnected graph.
 
-The upper bound is the least of four rules: n - 1 (vertex-bound), n/2 for a
-2-connected block (half-order), the number of forced-monochromatic edge
-classes (mono-classes), and the md of the graph left after stripping a soft
-layer of non-cut vertices (soft-layer).  Every edge of a tree is a bridge, so
-a tree reduction's md is its edge count; only a reduction with a cycle is
-solved by a nested md_exact on the caller's node budget.  The lower bound is
-closed-form (one, tree, unicyclic-half) and is reported in the bound trail
-only.
+The upper bound is the least of four closed-form rules: n - 1
+(vertex-bound), n/2 for a 2-connected block (half-order), the number of
+forced-monochromatic edge classes (mono-classes), and the vertex bound of the
+graph left after stripping a soft layer of non-cut vertices (soft-layer).  No
+bound solves anything, so md_exact never calls itself.  The lower bound is
+closed-form too (one, tree, unicyclic-half) and is reported in the bound
+trail only.
 
 Each block is class-closed once: the block's _SepTable is built first and
 handed to md_upper_bound, which reads the mono-classes count from it and,
@@ -24,7 +23,7 @@ since only a block gets a table, applies half-order without a second block
 decomposition.  The search then runs on the same table.
 
 md_exact's node_budget keyword is the solver's one setting: every search node
-of a solve, its sub-solves included, is charged to it, and passing it raises
+of a solve, over all its blocks, is charged to it, and passing it raises
 SearchBudgetExceeded.  Every other entry point solves on NODE_BUDGET.
 
 The search assigns whole edge classes rather than edges: restricted to any
@@ -60,7 +59,7 @@ shares no pruning with md_exact.
 Each layer (block_decomposition, mono_classes, md_upper_bound, md_lower_bound,
 is_md_coloring, md_exact) is called through this module's globals, so a
 wrapper installed on the module attribute, as the benchmark's tracer does,
-sees every call, nested sub-solves and md_feasible's solve included.
+sees every call, md_feasible's solve included.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class SearchBudgetExceeded(RuntimeError):
         self.upper = upper
 
 
-#: Search nodes one md_exact call may spend, its bounds' sub-solves included.
+#: Search nodes one md_exact call may spend over all its blocks.
 NODE_BUDGET = 500_000_000
 
 
@@ -207,18 +206,14 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
 # Bounds
 
 
-def md_upper_bound(
-    g: Graph, _budget: _Budget | None = None, _table: _SepTable | None = None
-) -> tuple[int, str]:
+def md_upper_bound(g: Graph, _table: _SepTable | None = None) -> tuple[int, str]:
     """Smallest applicable upper bound with the name of the rule that won.
 
-    The soft-layer rule takes the md of a smaller graph: a tree's is its edge
-    count, and a reduction with a cycle is solved exactly, its search nodes
-    charged to `_budget` (the caller's solve) or, without one, to a fresh
-    budget of NODE_BUDGET nodes.  Running out raises SearchBudgetExceeded
-    rather than loosening the bound.  Without `_table`, one block
-    decomposition checks connectivity (it raises ValueError on a disconnected
-    graph) and, when it finds no cut vertex, admits the half-order rule.
+    The soft-layer rule strips a soft layer (see soft_layer_reduce) and takes
+    the vertex bound of the graph R that survives: md(G) <= md(R) <= |V(R)| - 1.
+    Every rule is closed-form, so this never solves.  Without `_table`, one block decomposition checks
+    connectivity (it raises ValueError on a disconnected graph) and, when it
+    finds no cut vertex, admits the half-order rule.
 
     md_exact passes each block's _SepTable as `_table`: the mono-classes
     count is then its class count, and half-order applies without a block
@@ -241,14 +236,9 @@ def md_upper_bound(
         if count < best:
             best, name = count, "mono-classes"
     if best > 1:
-        reduced, seq = soft_layer_reduce(g)
-        if seq:
-            if reduced.m == reduced.n - 1:
-                value = reduced.m  # a tree: every edge is a bridge
-            else:
-                value = md_exact(reduced, _budget=_budget).value
-            if value < best:
-                best, name = value, "soft-layer"
+        value = g.n - len(soft_layer_reduce(g)) - 1
+        if value < best:
+            best, name = value, "soft-layer"
     return best, name
 
 
@@ -515,7 +505,7 @@ def _solve_connected(
     """md of a 2-connected block on >= 3 vertices, the 0-based color of each
     of its edges in edge order, and its bound trail."""
     table = _SepTable(g)
-    upper, upper_name = md_upper_bound(g, _budget=budget, _table=table)
+    upper, upper_name = md_upper_bound(g, _table=table)
     lower, lower_name = md_lower_bound(g, _block=True)
     trail = [(upper_name, upper), (lower_name, lower)]
     colors = [0] * g.m
@@ -528,9 +518,7 @@ def _solve_connected(
     return len(set(class_colors)), colors, trail
 
 
-def md_exact(
-    g: Graph, *, node_budget: int = NODE_BUDGET, _budget: _Budget | None = None
-) -> MdResult:
+def md_exact(g: Graph, *, node_budget: int = NODE_BUDGET) -> MdResult:
     """Exact md with a verified extremal coloring.
 
     Splits into blocks (md adds over blocks, and bridges contribute 1 each),
@@ -539,12 +527,10 @@ def md_exact(
     block edge mapped back through the block's sorted vertex tuple.  The
     assembled certificate, the only EdgeColoring a solve builds, is
     re-verified before returning.  Spending more than node_budget search
-    nodes (an int >= 1) raises SearchBudgetExceeded.  A bound's sub-solve
-    passes its caller's budget as `_budget`, so stats["nodes"] and
-    node_budget cover the whole solve.
+    nodes (an int >= 1) over all blocks raises SearchBudgetExceeded.
     """
     started = time.perf_counter()
-    budget = _budget if _budget is not None else _Budget(node_budget)
+    budget = _Budget(node_budget)
     if g.n <= 1:
         return MdResult(
             value=0,

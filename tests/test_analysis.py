@@ -120,23 +120,13 @@ def assert_blocks_by_brute_force(g):
 
 class TestSoftLayer:
     def test_k4_reduces_to_k2(self):
-        reduced, seq = soft_layer_reduce(k(4))
-        assert reduced == k(2)
-        assert len(seq) == 2
-        assert seq == (0, 1)
+        assert soft_layer_reduce(k(4)) == (0, 1)
 
     def test_tree_is_irreducible(self):
-        g = path(5)
-        reduced, seq = soft_layer_reduce(g)
-        assert reduced == g
-        assert seq == ()
+        assert soft_layer_reduce(path(5)) == ()
 
     def test_cycle_loses_exactly_one_vertex(self):
-        reduced, seq = soft_layer_reduce(cycle(6))
-        assert seq == (0,)
-        assert (reduced.n, reduced.m) == (5, 4)
-        degs = sorted(len(nbrs) for nbrs in reduced.adjacency)
-        assert degs == [1, 1, 2, 2, 2]
+        assert soft_layer_reduce(cycle(6)) == (0,)
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
@@ -165,14 +155,8 @@ class TestSoftLayer:
         rng = random.Random(77)
         for _ in range(25):
             g = random_connected(rng.randrange(3, 9), rng.uniform(0.3, 0.9), rng)
-            reduced, seq = soft_layer_reduce(g)
             alive = set(range(g.n))
-            for v in seq:
+            for v in soft_layer_reduce(g):
                 assert v == min(u for u in alive if eligible(g, alive, u))
                 alive.remove(v)
             assert not any(eligible(g, alive, u) for u in alive)
-            keep = sorted(alive)
-            assert reduced == graph(
-                len(keep),
-                [(keep.index(u), keep.index(v)) for u, v in g.edges if u in alive and v in alive],
-            )

@@ -9,7 +9,7 @@ from mdlab.coloring import (
     merge_to_k,
     normalize,
 )
-from mdlab.graph import components, graph, is_connected
+from mdlab.graph import graph, is_connected
 
 
 def k(n):
@@ -61,16 +61,28 @@ class TestVerifier:
 
     def test_certificate_witnesses_recompute(self):
         # The unseparated pairs are those that share a component of G minus
-        # each color class, as graph.components finds them.
+        # each color class, as a plain union-find labels them.
+        def component_labels(n, edges):
+            parent = list(range(n))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for u, v in edges:
+                parent[find(u)] = find(v)
+            return [find(x) for x in range(n)]
+
         rng = random.Random(8)
         verdicts = set()
         for _ in range(100):
             g = random_connected(rng.randrange(2, 7), 0.6, rng)
             colors = tuple(rng.randrange(1, 4) for _ in range(g.m))
-            comp_of = []
-            for color in set(colors):
-                h = graph(g.n, [e for e, c in zip(g.edges, colors) if c != color])
-                comp_of.append({x: ci for ci, comp in enumerate(components(h)) for x in comp})
+            comp_of = [
+                component_labels(g.n, [e for e, c in zip(g.edges, colors) if c != color])
+                for color in set(colors)
+            ]
             want = tuple(
                 (u, v)
                 for u, v in combinations(range(g.n), 2)

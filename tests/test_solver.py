@@ -75,9 +75,10 @@ def connected_graphs(orders):
         yield from enumerate_connected(n)
 
 
-# Hub 0 joined by paths of length two to the 4-cycle 5-6-7-8: md 2.  Its
-# soft-layer bound solves C4 with four pendant edges (md 6, 3 search nodes),
-# which loses to the half-order bound 4.
+# Hub 0 joined by paths of length two to the 4-cycle 5-6-7-8: md 2.  Its soft
+# layer is the hub alone, and what survives is C4 with four pendant edges, a
+# graph with a cycle; the soft-layer bound 9 - 1 - 1 = 7 loses to the
+# half-order bound 4, and the search takes 205 nodes.
 HUB_AND_C4 = graph(
     9,
     [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (4, 8),
@@ -255,16 +256,26 @@ class TestOnePassPerBlock:
         for bg in census_blocks():
             assert md_lower_bound(bg, _block=True) == md_lower_bound(bg), bg.edges
 
-    def test_tree_reductions_take_their_edge_count(self):
-        # The soft-layer rule's closed form, checked against the solve it replaces.
-        trees = 0
-        for bg in census_blocks():
-            reduced, seq = soft_layer_reduce(bg)
-            if seq and reduced.m == reduced.n - 1:
-                assert md_exact(reduced).value == reduced.m, bg.edges
-                trees += 1
-        # Every census block has a reduction, and all but two are trees.
-        assert trees == 613
+
+class TestSoftLayerBound:
+    """The soft-layer rule's value, the vertex bound of what survives the
+    stripped layer, never falls below md."""
+
+    @staticmethod
+    def soft_layer_value(g):
+        return g.n - len(soft_layer_reduce(g)) - 1
+
+    def test_at_least_md_exact(self):
+        blocks = census_blocks()
+        assert len(blocks) == 615
+        for g in list(blocks) + [HUB_AND_C4] + the_three_products():
+            assert self.soft_layer_value(g) >= md_exact(g).value, g.edges
+
+    def test_at_least_oracle_md(self):
+        blocks = [g for g in census_blocks() if g.m <= 9]
+        assert len(blocks) == 125
+        for g in blocks:
+            assert self.soft_layer_value(g) >= md_oracle(g), g.edges
 
 
 class TestPackingCut:
@@ -354,19 +365,13 @@ class TestSepTable:
 
 
 class TestBudgets:
-    def test_soft_layer_sub_solve_is_charged(self):
+    def test_budget_is_the_search_node_count(self):
         result = md_exact(HUB_AND_C4)
         assert result.value == 2
-        # 205 nodes of main search plus 3 in the soft-layer sub-solve.
-        assert result.stats["nodes"] == 208
-        assert md_exact(HUB_AND_C4, node_budget=208).value == 2
+        assert result.stats["nodes"] == 205
+        assert md_exact(HUB_AND_C4, node_budget=205).value == 2
         with pytest.raises(SearchBudgetExceeded):
-            md_exact(HUB_AND_C4, node_budget=207)
-
-    def test_upper_bound_sub_solve_honors_budget(self):
-        with pytest.raises(SearchBudgetExceeded):
-            md_upper_bound(HUB_AND_C4, _budget=solver._Budget(2))
-        assert md_upper_bound(HUB_AND_C4, _budget=solver._Budget(3)) == (4, "half-order")
+            md_exact(HUB_AND_C4, node_budget=204)
 
     @pytest.mark.parametrize("budget", [0, -1, 2.5, True])
     def test_budget_must_be_a_positive_int(self, budget):
@@ -407,14 +412,13 @@ class TestLayerHooks:
 
         for name in self.LAYERS:
             monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
-        # HUB_AND_C4: its soft-layer bound solves C4 with four pendant edges
-        # through md_exact again (a tree reduction would not be solved).
+        # No bound solves, so a solve is one md_exact call.
         assert solver.md_exact(HUB_AND_C4).value == 2
-        assert calls["md_exact"] == 2
+        assert calls["md_exact"] == 1
         assert all(calls[name] > 0 for name in self.LAYERS), calls
         # md_feasible merges the certificate of a solve made through the module.
         assert solver.md_feasible(HUB_AND_C4, 2).k == 2
-        assert calls["md_exact"] == 4
+        assert calls["md_exact"] == 2
 
     def test_census_solves_through_the_module(self, monkeypatch):
         calls = {"top": 0, "nested": 0}
@@ -432,9 +436,8 @@ class TestLayerHooks:
 
         monkeypatch.setattr(solver, "md_exact", counting)
         md_census(4, graphs=list(enumerate_connected(4)))
-        assert calls["top"] == 6
-        # C4's soft-layer reduction is the path P3, a tree: no nested solve.
-        assert calls["nested"] == 0
-        # HUB_AND_C4's reduction has a cycle, so its bound solves it nested.
+        assert calls == {"top": 6, "nested": 0}
+        # HUB_AND_C4's soft layer leaves a graph with a cycle, and its bound
+        # solves nothing either.
         md_census(9, graphs=[HUB_AND_C4])
-        assert calls == {"top": 7, "nested": 1}
+        assert calls == {"top": 7, "nested": 0}
