@@ -32,17 +32,18 @@ it makes opposite edges equal, so the union-closure of those constraints is
 monochromatic under every separating coloring.  This refines nothing away and
 shrinks the search space a lot on dense or product-shaped inputs.
 
-Classes are assigned in the table's search order, so the unassigned classes
-U are always a suffix.  That order puts the classes largest first and then
+A block's table keeps its classes in mono_classes' order for its whole
+life, and class c is bit c of every class bitmask.  The search assigns them
+in the order _SepTable.packing returns, so the unassigned classes U are
+always a suffix of it.  That order puts the classes largest first and then
 groups them by component of P, the graph of class pairs that are
-self-separating together (see _SepTable.packing), so a wrong pairing dies
-near the node that made it.  With sep(S) the mask of vertex pairs split by
-deleting every class in S, and A_j the classes of color j, a node is dead
-iff OR_{j < opened} sep(A_j | U) misses a pair: no completion can then split
-that pair.  sep is memoized once per block, keyed by class bitmask in the
-current order (the grouping moves the bits of the keys the packing walk
-made), and shared by every branch of the search, so a node costs at most one
-table lookup per opened color.
+self-separating together, so a wrong pairing dies near the node that made
+it.  With sep(S) the mask of vertex pairs split by deleting every class in
+S, and A_j the classes of color j, a node is dead iff
+OR_{j < opened} sep(A_j | U) misses a pair: no completion can then split
+that pair.  sep is memoized once per block, keyed by class bitmask, and
+shared by the packing walks and every branch of the search, so a node costs
+at most one table lookup per opened color.
 
 The search cuts a node when its open colors plus pack[i] cannot beat the best
 leaf, where pack[i] bounds the colors that the suffix U alone can make: every
@@ -67,20 +68,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from mdlab.analysis import block_decomposition, soft_layer_reduce
 from mdlab.coloring import EdgeColoring, is_md_coloring, merge_to_k
-from mdlab.graph import Graph, is_connected
+from mdlab.graph import Graph, block_decomposition, is_connected
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """md_exact's node_budget ran out; best-known bounds are attached."""
+    """md_exact's node_budget ran out; `nodes` is the count that overran it."""
 
-    def __init__(self, message: str, *, nodes: int = 0,
-                 lower: int | None = None, upper: int | None = None):
+    def __init__(self, message: str, *, nodes: int = 0):
         super().__init__(message)
         self.nodes = nodes
-        self.lower = lower
-        self.upper = upper
 
 
 #: Search nodes one md_exact call may spend over all its blocks.
@@ -126,9 +123,10 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     bundles: crossing pairs inside a double star chain together.)
 
     Order contract: classes come by least edge index, and each class lists
-    its edges in edge order.  _SepTable's first order (largest first) breaks
-    ties on it before its grouping by component, and the tests compare
-    against it.
+    its edges in edge order.  _SepTable keeps this order, so class c is bit
+    c of its memo keys; its search order (largest first) breaks ties on the
+    class index, which is first-edge order, and the tests compare against
+    it.
 
     Each edge maps to its class's list of edge indices, and a union moves
     the shorter list into the longer, so a union of two edges already in
@@ -209,11 +207,12 @@ def mono_classes(g: Graph) -> list[tuple[tuple[int, int], ...]]:
 def md_upper_bound(g: Graph, _table: _SepTable | None = None) -> tuple[int, str]:
     """Smallest applicable upper bound with the name of the rule that won.
 
-    The soft-layer rule strips a soft layer (see soft_layer_reduce) and takes
-    the vertex bound of the graph R that survives: md(G) <= md(R) <= |V(R)| - 1.
-    Every rule is closed-form, so this never solves.  Without `_table`, one block decomposition checks
-    connectivity (it raises ValueError on a disconnected graph) and, when it
-    finds no cut vertex, admits the half-order rule.
+    The soft-layer rule strips a soft layer (see _soft_layer) and takes the
+    vertex bound of the graph R that survives: md(G) <= md(R) <= |V(R)| - 1.
+    Every rule is closed-form, so this never solves.  Without `_table`, one
+    block decomposition checks connectivity (it raises ValueError on a
+    disconnected graph) and, when it finds no cut vertex, admits the
+    half-order rule.
 
     md_exact passes each block's _SepTable as `_table`: the mono-classes
     count is then its class count, and half-order applies without a block
@@ -236,10 +235,60 @@ def md_upper_bound(g: Graph, _table: _SepTable | None = None) -> tuple[int, str]
         if count < best:
             best, name = count, "mono-classes"
     if best > 1:
-        value = g.n - len(soft_layer_reduce(g)) - 1
+        value = g.n - len(_soft_layer(g)) - 1
         if value < best:
             best, name = value, "soft-layer"
     return best, name
+
+
+def _soft_layer(g: Graph) -> tuple[int, ...]:
+    """Greedily strip vertices of current degree >= 2 that are not cut vertices.
+
+    g must be connected; md_upper_bound has checked that, or holds a block.
+    A vertex is eligible when it is alive, has at least two alive neighbors,
+    and the alive set without it stays connected.  Each round removes the
+    smallest eligible id and the stripped vertices are returned in that
+    order, so every prefix of the sequence is a valid layer.
+    """
+    masks = _neighbor_masks(g)
+    alive = (1 << g.n) - 1
+    removed: list[int] = []
+    while True:
+        for v in range(g.n):
+            bit = 1 << v
+            if (
+                alive & bit
+                and (masks[v] & alive).bit_count() >= 2
+                and _spans_connected(masks, alive ^ bit)
+            ):
+                removed.append(v)
+                alive ^= bit
+                break
+        else:
+            return tuple(removed)
+
+
+def _neighbor_masks(g: Graph) -> list[int]:
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _spans_connected(masks: list[int], vertex_set: int) -> bool:
+    """True when the vertices in the bitmask induce a connected subgraph
+    (the empty set counts as connected)."""
+    seen = frontier = vertex_set & -vertex_set
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= masks[bit.bit_length() - 1]
+        frontier = reach & vertex_set & ~seen
+        seen |= frontier
+    return seen == vertex_set
 
 
 def md_lower_bound(g: Graph, _block: bool = False) -> tuple[int, str]:
@@ -264,23 +313,21 @@ def md_lower_bound(g: Graph, _block: bool = False) -> tuple[int, str]:
 
 
 class _SepTable:
-    """One block's mono classes in search order and its memo from a class
-    bitmask S to sep(S), with pair (u, v) at bit u*n + v; `full` holds every
-    pair with u != v.  Built once per block of three or more vertices and
-    hit across the branches of its one search.
+    """One block's mono classes and its memo from a class bitmask S to
+    sep(S), with pair (u, v) at bit u*n + v; `full` holds every pair with
+    u != v.  Built once per block of three or more vertices and hit across
+    the packing walks and the branches of its one search.
 
-    The classes start largest first, ties by first edge index; packing()
-    then groups them by component of the pair graph P (see there), and the
-    search reads them in that final order.  Each class also keeps its
-    incidences, (vertex, neighbour bits) per vertex it touches, so a memo
-    miss ORs them into an adjacency without walking edge tuples."""
+    `classes` is mono_classes(g) as returned, never reordered, and class c is
+    bit c of every key; the search order is packing()'s to return.  Each
+    class also keeps its incidences, (vertex, neighbour bits) per vertex it
+    touches, so a memo miss ORs them into an adjacency without walking edge
+    tuples."""
 
     __slots__ = ("classes", "full", "_n", "_inc", "_memo")
 
     def __init__(self, g: Graph):
-        classes = mono_classes(g)
-        classes.sort(key=lambda cls: (-len(cls), g.edge_index[cls[0]]))
-        self.classes = classes
+        self.classes = mono_classes(g)
         n = self._n = g.n
         self.full = ((1 << (n * n)) - 1) ^ sum(1 << (u * n + u) for u in range(n))
         self._inc: list[tuple[tuple[int, int], ...]] | None = None
@@ -323,10 +370,11 @@ class _SepTable:
         mask = self._memo[deleted] = self.full & ~joined
         return mask
 
-    def packing(self) -> list[int]:
-        """pack[i] bounds the colors a separating coloring can make of the
-        classes i..t-1 alone; pack[t] = 0.  Puts the classes in component
-        order first, so read self.classes after calling it.
+    def packing(self) -> tuple[list[int], list[int]]:
+        """The search order, a list of class indices, and pack, where pack[i]
+        bounds the colors a separating coloring can make of the classes at
+        positions i..t-1 of that order alone; pack[t] = 0.  Changes nothing
+        in the table but the memo.
 
         Every color is self-separating: deleting it splits the ends of each of
         its edges.  Of the suffix U, s classes are self-separating alone; the
@@ -336,33 +384,37 @@ class _SepTable:
         Every further color takes three classes or more, which gives
         pack = s + B + (|U| - s - 2B) // 3.
 
-        The walk's union-find ends with P's components.  The classes are then
-        stably sorted by the least index in their component (a self-separating
-        class is a component of its own), so classes that can pair up sit
-        together and a wrong pairing dies near the node that made it; and the
-        walk is rerun in that order, where a pair from two components is
-        known not to be an edge of P and is never tested.
+        The first order is largest class first, ties by class index.  Its
+        walk's union-find ends with P's components.  The order is then
+        stably sorted by the least position in each class's component (a
+        self-separating class is a component of its own), so classes that
+        can pair up sit together and a wrong pairing dies near the node that
+        made it; and the walk is rerun in that order, where a pair from two
+        components is known not to be an edge of P and is never tested.
         """
-        pack, root = self._walk(None)
-        t = len(self.classes)
+        classes = self.classes
+        order = sorted(range(len(classes)), key=lambda c: (-len(classes[c]), c))
+        pack, root = self._walk(order, None)
         first: dict[int, int] = {}
-        for i in range(t):
-            first.setdefault(root[i], i)
-        order = sorted(range(t), key=lambda i: first[root[i]])
-        if order == list(range(t)):
-            return pack
-        self._reorder(order)
-        pack, _ = self._walk([first[root[i]] for i in order])
-        return pack
+        for i, c in enumerate(order):
+            first.setdefault(root[c], i)
+        component = [first[r] for r in root]
+        grouped = sorted(order, key=component.__getitem__)
+        if grouped == order:
+            return pack, order
+        pack, _ = self._walk(grouped, component)
+        return pack, grouped
 
-    def _walk(self, component: list[int] | None) -> tuple[list[int], list[int]]:
-        """pack for the current order and each class's union-find root.
+    def _walk(
+        self, order: list[int], component: list[int] | None
+    ) -> tuple[list[int], list[int]]:
+        """pack for `order` and each class's union-find root, by class index.
 
-        Walking i down with one union-find tests each class once alone and
-        each pair at most once; with `component` given, only pairs with equal
-        labels are tested.
+        Walking the positions down with one union-find tests each class once
+        alone and each pair at most once; with `component` given, only pairs
+        of classes with equal labels are tested.
         """
-        t, n = len(self.classes), self._n
+        t, n = len(order), self._n
         sep = self.sep
         own = [sum(1 << (u * n + v) for u, v in cls) for cls in self.classes]
         parent = list(range(t))
@@ -378,40 +430,22 @@ class _SepTable:
         in_p: list[int] = []
         s = b = 0
         for i in range(t - 1, -1, -1):
-            if sep(1 << i) & own[i] == own[i]:
+            c = order[i]
+            if sep(1 << c) & own[c] == own[c]:
                 s += 1
             else:
-                for j in in_p:
-                    if component is not None and component[i] != component[j]:
+                for d in in_p:
+                    if component is not None and component[c] != component[d]:
                         continue
-                    ri, rj = find(i), find(j)
-                    both = own[i] | own[j]
-                    if ri != rj and sep((1 << i) | (1 << j)) & both == both:
-                        b += (size[ri] + size[rj]) // 2 - size[ri] // 2 - size[rj] // 2
-                        parent[rj] = ri
-                        size[ri] += size[rj]
-                in_p.append(i)
+                    rc, rd = find(c), find(d)
+                    both = own[c] | own[d]
+                    if rc != rd and sep((1 << c) | (1 << d)) & both == both:
+                        b += (size[rc] + size[rd]) // 2 - size[rc] // 2 - size[rd] // 2
+                        parent[rd] = rc
+                        size[rc] += size[rd]
+                in_p.append(c)
             pack[i] = s + b + (t - i - s - 2 * b) // 3
-        return pack, [find(i) for i in range(t)]
-
-    def _reorder(self, order: list[int]) -> None:
-        """Make class order[k] the k-th class; the memo is re-keyed by moving
-        the bits of each key, not cleared."""
-        self.classes = [self.classes[i] for i in order]
-        if self._inc is not None:
-            self._inc = [self._inc[i] for i in order]
-        bit_of = [0] * len(order)
-        for k, i in enumerate(order):
-            bit_of[i] = 1 << k
-        memo = {}
-        for key, mask in self._memo.items():
-            new = 0
-            while key:
-                low = key & -key
-                key ^= low
-                new |= bit_of[low.bit_length() - 1]
-            memo[new] = mask
-        self._memo = memo
+        return pack, [find(c) for c in range(t)]
 
 
 def _incidences(cls: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -424,10 +458,13 @@ def _incidences(cls: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]
 
 
 def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
-    """Per-class colors (0-based) of a separating leaf opening the most colors.
+    """Per-class colors (0-based), in table.classes order, of a separating
+    leaf opening the most colors.
 
-    Each class tries a new color first (while fewer than `upper` are open),
-    then the open colors from the highest down.  A node dies when
+    The classes are assigned in the order packing() returns, so U, the
+    classes after position i, is the suffix mask rests[i + 1].  Each class
+    tries a new color first (while fewer than `upper` are open), then the
+    open colors from the highest down.  A node dies when
     OR_{j < opened} sep(A_j | U) misses a pair.  An unopened color could add
     only sep(U), which every term contains as sep is monotone, so the test is
     the same for every final color count and every leaf reached separates; an
@@ -436,14 +473,19 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
 
     A node is cut when opened + pack[i] <= the best leaf's color count.  The
     colors opened so far number `opened`, and every other color of a leaf
-    below lies wholly in the suffix i..t-1, which makes at most pack[i] of
-    them; so a cut subtree holds no strictly better leaf, the search records
-    the same improving leaves, and its result does not depend on the cut.
-    Since pack[0] bounds every separating coloring, the color count is capped
-    at min(upper, pack[0]), and a leaf reaching the cap ends the search.
+    below lies wholly in the classes at positions i..t-1, which make at
+    most pack[i] of them; so a cut subtree holds no strictly better leaf, the
+    search records the same improving leaves, and its result does not depend
+    on the cut.  Since pack[0] bounds every separating coloring, the color
+    count is capped at min(upper, pack[0]), and a leaf reaching the cap ends
+    the search.
     """
-    pack = table.packing()  # first: it fixes the class order
-    t = len(table.classes)
+    pack, order = table.packing()
+    t = len(order)
+    bits = [1 << c for c in order]
+    rests = [0] * (t + 1)
+    for i in range(t - 1, -1, -1):
+        rests[i] = rests[i + 1] | bits[i]
     sep, full = table.sep, table.full
     upper = min(upper, pack[0])
     members = [0] * upper
@@ -459,8 +501,7 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
         if i == t:
             best, best_opened = color_of_class[:], opened
             return opened == upper
-        bit = 1 << i
-        rest = (1 << t) - (bit << 1)
+        bit, rest = bits[i], rests[i + 1]
         for color in range(min(opened, upper - 1), -1, -1):
             members[color] |= bit
             new_opened = max(opened, color + 1)
@@ -470,7 +511,7 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
                 if covered == full:
                     break
             if covered == full:
-                color_of_class[i] = color
+                color_of_class[order[i]] = color
                 if dfs(i + 1, new_opened):
                     return True
             members[color] ^= bit
@@ -543,27 +584,14 @@ def md_exact(g: Graph, *, node_budget: int = NODE_BUDGET) -> MdResult:
     total = 0
     trail: list[tuple[str, int]] = []
     colors = [0] * g.m
-    solved: list[int] = []
     for bi, (verts, bg) in enumerate(zip(dec.blocks, dec.block_graphs)):
         prefix = f"block{bi}:" if multi else ""
         if bg.n == 2:
             colors[g.edge_index[verts]] = total + 1
-            solved.append(1)
             trail.append((prefix + "bridge", 1))
             total += 1
             continue
-        try:
-            value, block_colors, block_trail = _solve_connected(bg, budget)
-        except SearchBudgetExceeded as exc:
-            done = sum(solved)
-            remaining = len(dec.blocks) - len(solved)
-            raise SearchBudgetExceeded(
-                str(exc),
-                nodes=budget.nodes,
-                lower=done + remaining,
-                upper=done + sum(len(b) - 1 for b in dec.blocks[len(solved):]),
-            ) from exc
-        solved.append(value)
+        value, block_colors, block_trail = _solve_connected(bg, budget)
         trail.extend((prefix + name, val) for name, val in block_trail)
         for (u, v), c in zip(bg.edges, block_colors):
             colors[g.edge_index[(verts[u], verts[v])]] = c + total + 1

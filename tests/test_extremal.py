@@ -61,6 +61,17 @@ REGULAR_8 = {
 }
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _restore_census_cache():
+    """Put extremal._CENSUS_CACHE back as this module found it: tests in
+    other modules count the solves a census makes, and a census warmed here
+    would make none."""
+    saved = dict(extremal._CENSUS_CACHE)
+    yield
+    extremal._CENSUS_CACHE.clear()
+    extremal._CENSUS_CACHE.update(saved)
+
+
 def _bits(edges) -> int:
     return sum(1 << _pair_pos(min(u, v), max(u, v)) for u, v in edges)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -5,10 +6,9 @@ from itertools import combinations, permutations
 import pytest
 
 from mdlab import solver
-from mdlab.analysis import block_decomposition, soft_layer_reduce
 from mdlab.coloring import EdgeColoring, is_md_coloring
 from mdlab.extremal import enumerate_connected, md_census
-from mdlab.graph import graph, is_connected
+from mdlab.graph import block_decomposition, graph, is_connected, to_graph6
 from mdlab.products import ProductKind, product
 from mdlab.solver import (
     SearchBudgetExceeded,
@@ -213,6 +213,26 @@ class TestExactAgainstOracle:
             assert md_exact(g).value == md_oracle(g), g.edges
 
 
+# sha256 over one line per connected graph on 1-7 vertices (996 graphs), in
+# enumerate_connected order: graph6, md, certificate colors, bound trail and
+# search nodes.  Only a change meant to move a certificate, a trail or a node
+# count may re-pin it, and it says why.
+SOLVE_DIGEST_N7 = "e3d4763d45b891ec70855b20f0c0b6d5f8d5819b27f21d11c6d3574e8995d7f7"
+
+
+def test_census_solves_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    graphs = list(connected_graphs(range(1, 8)))
+    assert len(graphs) == 996
+    for g in graphs:
+        r = md_exact(g)
+        digest.update(
+            f"{to_graph6(g)} {r.value} {list(r.certificate.colors)} "
+            f"{[list(s) for s in r.bounds_trail]} {r.stats['nodes']}\n".encode()
+        )
+    assert digest.hexdigest() == SOLVE_DIGEST_N7
+
+
 class TestBounds:
     @pytest.mark.parametrize(
         "g, bound",
@@ -257,13 +277,53 @@ class TestOnePassPerBlock:
             assert md_lower_bound(bg, _block=True) == md_lower_bound(bg), bg.edges
 
 
+class TestSoftLayer:
+    def test_k4_reduces_to_k2(self):
+        assert solver._soft_layer(k(4)) == (0, 1)
+
+    def test_tree_is_irreducible(self):
+        assert solver._soft_layer(path(5)) == ()
+
+    def test_cycle_loses_exactly_one_vertex(self):
+        assert solver._soft_layer(cycle(6)) == (0,)
+
+    def test_prefixes_are_valid_layers(self):
+        # Recheck the definition against the original graph step by step: a
+        # vertex is eligible when it is alive, has >= 2 alive neighbors, and
+        # the alive set without it stays connected.
+        def connected(g, vertex_set):
+            if not vertex_set:
+                return True
+            start = min(vertex_set)
+            seen, todo = {start}, [start]
+            while todo:
+                for y in g.adjacency[todo.pop()]:
+                    if y in vertex_set and y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            return seen == vertex_set
+
+        def eligible(g, alive, v):
+            alive_nbrs = sum(1 for y in g.adjacency[v] if y in alive)
+            return alive_nbrs >= 2 and connected(g, alive - {v})
+
+        rng = random.Random(77)
+        for _ in range(25):
+            g = random_connected(rng.randrange(3, 9), rng.uniform(0.3, 0.9), rng)
+            alive = set(range(g.n))
+            for v in solver._soft_layer(g):
+                assert v == min(u for u in alive if eligible(g, alive, u))
+                alive.remove(v)
+            assert not any(eligible(g, alive, u) for u in alive)
+
+
 class TestSoftLayerBound:
     """The soft-layer rule's value, the vertex bound of what survives the
     stripped layer, never falls below md."""
 
     @staticmethod
     def soft_layer_value(g):
-        return g.n - len(soft_layer_reduce(g)) - 1
+        return g.n - len(solver._soft_layer(g)) - 1
 
     def test_at_least_md_exact(self):
         blocks = census_blocks()
@@ -281,19 +341,21 @@ class TestSoftLayerBound:
 class TestPackingCut:
     def test_suffix_bounds_on_census_blocks(self):
         # Soundness of the cut, suffix by suffix: the colors of an extremal
-        # coloring that lie wholly in classes i..t-1 number at most pack[i].
+        # coloring that lie wholly in the classes at positions i..t-1 of the
+        # search order number at most pack[i].
         blocks = census_blocks()
         assert len(blocks) == 615
         for g in blocks:
             table = solver._SepTable(g)
-            pack, t = table.packing(), len(table.classes)
+            (pack, order), t = table.packing(), len(table.classes)
+            assert sorted(order) == list(range(t)), (g.edges, order)
             assert len(pack) == t + 1 and pack[t] == 0, g.edges
             assert all(pack[i] <= t - i for i in range(t)), (g.edges, pack)
             result = md_exact(g)
             assert pack[0] >= result.value, (g.edges, pack)
             first = {}
-            for i, cls in enumerate(table.classes):
-                for e in cls:
+            for i, c in enumerate(order):
+                for e in table.classes[c]:
                     first.setdefault(result.certificate.colors[g.edge_index[e]], i)
             for i in range(t):
                 inside = sum(1 for start in first.values() if start >= i)
@@ -307,7 +369,7 @@ class TestPackingCut:
     def test_packing_at_least_oracle_md(self, edges):
         for g in census_blocks():
             if g.m in edges:
-                assert solver._SepTable(g).packing()[0] >= md_oracle(g), g.edges
+                assert solver._SepTable(g).packing()[0][0] >= md_oracle(g), g.edges
 
 
 def the_three_products():
@@ -335,22 +397,22 @@ def pair_mask_by_components(g, classes, deleted):
 
 
 class TestSepTable:
-    def test_memo_after_reorder_equals_a_fresh_table(self):
-        # Every entry left by the packing walks (some re-keyed by the reorder)
-        # and the search equals sep computed afresh in the same class order.
-        reordered = 0
+    def test_memo_after_search_equals_a_fresh_table(self):
+        # Every entry left by the packing walks and the search equals sep
+        # computed afresh; the classes stay in mono_classes order throughout,
+        # even on the blocks whose search order regroups them.
+        regrouped = 0
         for g in list(census_blocks()) + the_three_products():
             table = solver._SepTable(g)
             solver._search(table, g.n // 2, solver._Budget(solver.NODE_BUDGET))
+            assert table.classes == mono_classes(g), g.edges
+            _, order = table.packing()
+            t = len(table.classes)
+            regrouped += order != sorted(range(t), key=lambda c: (-len(table.classes[c]), c))
             fresh = solver._SepTable(g)
-            index = {cls: i for i, cls in enumerate(fresh.classes)}
-            order = [index[cls] for cls in table.classes]
-            reordered += order != sorted(order)
-            fresh._reorder(order)
-            assert fresh.classes == table.classes and not fresh._memo
             for key, mask in table._memo.items():
                 assert fresh.sep(key) == mask, (g.edges, key)
-        assert reordered > 0
+        assert regrouped > 0
 
     def test_sep_equals_plain_components_on_every_subset(self):
         blocks = [g for g in census_blocks() if len(solver._SepTable(g).classes) <= 10]
@@ -370,8 +432,9 @@ class TestBudgets:
         assert result.value == 2
         assert result.stats["nodes"] == 205
         assert md_exact(HUB_AND_C4, node_budget=205).value == 2
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded) as exc:
             md_exact(HUB_AND_C4, node_budget=204)
+        assert exc.value.nodes == 205
 
     @pytest.mark.parametrize("budget", [0, -1, 2.5, True])
     def test_budget_must_be_a_positive_int(self, budget):
