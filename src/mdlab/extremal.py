@@ -9,12 +9,10 @@ implication, and the first such census row is the reported witness.  The
 census covers every graph of the order, so no construction is needed to find
 one.
 
-The enumeration is canonical augmentation (McKay 1998): graphs grow one vertex
-at a time, attached to a nonempty subset so that every prefix stays connected,
-and a child is kept only when its new vertex is a canonical vertex to delete.
-The kept children are deduplicated by a canonical form: the least adjacency
-bit-string over the leaves of a partition-refinement search (`_least_code`),
-in pure Python.
+The enumeration is canonical augmentation (McKay 1998): a graph grows by a
+vertex on one subset per orbit of its automorphisms, kept when that vertex is
+canonical to delete, and one pure-Python refinement search (`_least_code`)
+gives each kept graph its canonical form and its automorphisms.
 """
 
 from __future__ import annotations
@@ -89,84 +87,116 @@ def _adjacency(bits: int, k: int) -> list[int]:
     return adj
 
 
-def _least_code(adj: list[int], cells: list[tuple[int, ...]], splitters: list[int]) -> int:
-    """Least bit-string over the leaves of a refinement search from `cells`.
+def _least_code(
+    adj: list[int], cells: list[tuple[int, ...]], splitters: list[int]
+) -> tuple[int, list[int], list[list[int]]]:
+    """Least bit-string over the leaves of a refinement search from `cells`,
+    the labels that give it, and generators of the automorphisms.
 
     The search follows McKay & Piperno, "Practical graph isomorphism II"
-    (2014).  Each node is an ordered partition of the vertices, refined until
-    equitable: every cell splits by its vertices' neighbour counts into a
-    splitter (the starting cells, then each individualized vertex and each
-    new piece), and the pieces are ordered by decreasing count.  Each vertex
-    of the first non-singleton cell is then individualized in turn, as a
-    singleton cell just before the rest of its cell.  A discrete partition is
-    a leaf and relabels the graph: the vertex in cell i becomes vertex i.
+    (2014).  Each node is an ordered partition, refined until equitable:
+    every cell splits by neighbour counts into a splitter (the starting
+    cells, each individualized vertex and each new piece), pieces in
+    decreasing count.  Each vertex of the first non-singleton cell is then
+    individualized in turn, as a singleton just before the rest of its cell.
+    A discrete partition is a leaf and relabels the graph: the vertex in
+    cell i becomes vertex i.  No step reads a vertex id, so the least
+    bit-string depends only on the graph with its starting cells, up to
+    isomorphism.  When every vertex of the target cell is a twin of its
+    first (equal neighbourhoods, ignoring each other), swapping two maps one
+    subtree onto the other, so only the first is branched on; this keeps
+    stars and cliques at one leaf.
 
-    The minimum depends only on the graph with its starting partition, up to
-    isomorphism, because no step reads a vertex id: splits, piece order and
-    the target cell follow from adjacency counts and cell positions.
-    Relabelling the input therefore relabels the whole search tree the same
-    way, and each leaf gives the same bit-string as its image.  If every
-    vertex of the target cell is a twin of its first vertex (equal
-    neighbourhoods, ignoring each other), swapping two of them is an
-    automorphism that fixes the partition and maps one subtree onto the
-    other, so branching on the first vertex alone leaves the set of leaf
-    bit-strings unchanged.  This keeps stars and cliques at one leaf.
+    labels[u] is u's cell in one least leaf.  The generators permute
+    labels (perm[i] is i's image): the twin swaps, and the map from that leaf
+    to each other least leaf.  They generate every automorphism that keeps
+    the starting cells: without the twin rule the least leaves would be one
+    orbit of that group, and a pruned subtree is a twin swap's image.
     """
     k = len(adj)
-    for w in splitters:
-        if len(cells) == k:
-            break
-        split = []
-        for cell in cells:
-            if len(cell) == 1:
-                split.append(cell)
-                continue
-            pieces: dict[int, list[int]] = {}
-            for v in cell:
-                pieces.setdefault((adj[v] & w).bit_count(), []).append(v)
-            if len(pieces) == 1:
-                split.append(cell)
-                continue
-            # Higher counts first, so at the root denser vertices take lower
-            # labels; md_exact searches fewer nodes on such graphs.
-            for count in sorted(pieces, reverse=True):
-                split.append(tuple(pieces[count]))
-                # Each new piece joins the splitters this loop still reads.
-                splitters.append(sum(1 << v for v in pieces[count]))
-        cells = split
-    target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-    if target is None:
-        code, pos = 0, 0  # pos runs through _pair_pos(i, j) in order
-        for j in range(1, k):
-            row = adj[cells[j][0]]
-            for i in range(j):
-                code |= (row >> cells[i][0] & 1) << pos
-                pos += 1
-        return code
-    cell = cells[target]
-    first = cell[0]
-    twins = all(adj[first] & ~(1 << w) == adj[w] & ~(1 << first) for w in cell[1:])
-    head, tail = cells[:target], cells[target + 1 :]
-    return min(
-        _least_code(adj, head + [(v,), tuple(w for w in cell if w != v)] + tail, [1 << v])
-        for v in (cell[:1] if twins else cell)
-    )
+    leaves, swaps = [], set()  # (code, vertex order) per leaf; twin pairs
+
+    def search(cells: list[tuple[int, ...]], splitters: list[int]) -> None:
+        for w in splitters:
+            if len(cells) == k:
+                break
+            split = []
+            for cell in cells:
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                pieces: dict[int, list[int]] = {}
+                for v in cell:
+                    pieces.setdefault((adj[v] & w).bit_count(), []).append(v)
+                if len(pieces) == 1:
+                    split.append(cell)
+                    continue
+                # Higher counts first, so at the root denser vertices take lower
+                # labels; md_exact searches fewer nodes on such graphs.
+                for count in sorted(pieces, reverse=True):
+                    split.append(tuple(pieces[count]))
+                    # Each new piece joins the splitters this loop still reads.
+                    splitters.append(sum(1 << v for v in pieces[count]))
+            cells = split
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            order = [cell[0] for cell in cells]
+            code, pos = 0, 0  # pos runs through _pair_pos(i, j) in order
+            for j in range(1, k):
+                row = adj[order[j]]
+                for i in range(j):
+                    code |= (row >> order[i] & 1) << pos
+                    pos += 1
+            leaves.append((code, order))
+            return
+        cell = cells[target]
+        first = cell[0]
+        twins = all(adj[first] & ~(1 << w) == adj[w] & ~(1 << first) for w in cell[1:])
+        if twins:
+            swaps.update((first, w) for w in cell[1:])
+        head, tail = cells[:target], cells[target + 1 :]
+        for v in cell[:1] if twins else cell:
+            search(head + [(v,), tuple(w for w in cell if w != v)] + tail, [1 << v])
+
+    search(cells, splitters)
+    code, least = min(leaves)
+    others = [order for leaf_code, order in leaves if leaf_code == code and order != least]
+    # Swapping twins a and b maps the least leaf to its order with a, b swapped.
+    others += [[{a: b, b: a}.get(u, u) for u in least] for a, b in swaps]
+    labels = sorted(range(k), key=least.__getitem__)  # the inverse of least
+    return code, labels, [[labels[u] for u in order] for order in others]
 
 
 def _canonical(bits: int, k: int) -> int:
-    """Canonical form of a k-vertex graph in the `_pair_pos` encoding.
-
-    The least leaf bit-string of `_least_code` from the unit partition, so
-    two graphs get the same form exactly when they are isomorphic.
-    """
-    return _least_code(_adjacency(bits, k), [tuple(range(k))], [(1 << k) - 1])
+    """Canonical form of a k-vertex graph in the `_pair_pos` encoding: the
+    least leaf of `_least_code`, equal exactly for isomorphic graphs."""
+    return _least_code(_adjacency(bits, k), [tuple(range(k))], [(1 << k) - 1])[0]
 
 
-def _rooted_code(adj: list[int], w: int) -> int:
-    """Canonical form of the graph rooted at w: equal exactly on w's orbit."""
-    k = len(adj)
-    rest = (*range(w), *range(w + 1, k))
-    return _least_code(adj, [(w,), rest], [1 << w, (1 << k) - 1 & ~(1 << w)])
+def _orbit_minima(size: int, maps: list[list[int]]) -> list[int]:
+    """Least point of each point's orbit in the group `maps` generate (x -> map[x])."""
+    least = list(range(size))
+    for x in range(size):
+        frontier = [x] if least[x] == x else []
+        while frontier:
+            y = frontier.pop()
+            for image in maps:
+                if least[image[y]] == image[y] != x:
+                    least[image[y]] = x
+                    frontier.append(image[y])
+    return least
+
+
+def _subset_representatives(k: int, generators: list[list[int]]) -> list[int]:
+    """Least nonempty vertex bitmask of each orbit of `generators`, in order."""
+    maps = []
+    for perm in generators:
+        image = [0]  # image[s] of each subset s of the vertices before u
+        for u in range(k):
+            image += [s | 1 << perm[u] for s in image]
+        maps.append(image)
+    least = _orbit_minima(1 << k, maps)
+    return [s for s in range(1, 1 << k) if least[s] == s]
 
 
 def _components_without(adj: list[int], w: int) -> list[int]:
@@ -186,26 +216,23 @@ def _components_without(adj: list[int], w: int) -> list[int]:
     return components
 
 
-def _canonical_children(parent_adj: list[int]) -> Iterator[list[int]]:
-    """Children P + v whose new vertex v is a canonical vertex to delete.
-
-    v is attached to each nonempty subset S of P's vertices in turn.  The
-    canonical vertices of a connected graph are its least non-cut vertices
-    by degree, then by the sorted degrees of their neighbours, then by
-    `_rooted_code`.  Each key is an isomorphism invariant and the rooted code
-    tells orbits apart, so the canonical vertices form one orbit of the
-    automorphism group.  v is itself non-cut, since P is connected.
+def _canonical_children(
+    parent_adj: list[int], generators: list[list[int]]
+) -> Iterator[tuple[int, list[list[int]]]]:
+    """Form and automorphisms of each child P + v, one per orbit of subsets S,
+    whose new vertex v is canonical (see `enumerate_connected`).
 
     The keys are tried cheapest first.  The first reads only P: a vertex w
     of P is a cut vertex of the child exactly when some component of P - w
     misses S, and its degree is its degree in P plus one if it is in S.
-    Only the children that survive it get an adjacency, and only ties on
-    the first two keys run the rooted search.
+    Each child that survives the second costs one search, which gives its
+    form and the orbits that settle a tie.  v is non-cut, as P is connected.
     """
     v = len(parent_adj)
+    unit = tuple(range(v + 1))
     degrees = [a.bit_count() for a in parent_adj]
     parts = [_components_without(parent_adj, w) for w in range(v)]
-    for subset in range(1, 1 << v):
+    for subset in _subset_representatives(v, generators):
         degree = subset.bit_count()
         ties = []
         for w in range(v):
@@ -217,62 +244,37 @@ def _canonical_children(parent_adj: list[int]) -> Iterator[list[int]]:
         else:
             adj = [a | (subset >> u & 1) << v for u, a in enumerate(parent_adj)]
             adj.append(subset)
-            if not ties or _least_of_ties(adj, ties):
-                yield adj
-
-
-def _least_of_ties(adj: list[int], ties: list[int]) -> bool:
-    """Whether the last vertex v is least among itself and `ties` on the
-    remaining keys: the sorted degrees of the neighbours, then `_rooted_code`.
-    """
-    v = len(adj) - 1
-    degrees = [a.bit_count() for a in adj]
-
-    def around(w: int) -> list[int]:
-        return sorted(degrees[x] for x in range(v + 1) if adj[w] >> x & 1)
-
-    key = around(v)
-    rivals = []
-    for w in ties:
-        other = around(w)
-        if other < key:
-            return False
-        if other == key:
-            rivals.append(w)
-    if not rivals:
-        return True
-    code = _rooted_code(adj, v)
-    return all(_rooted_code(adj, w) >= code for w in rivals)
-
-
-def _graph_from_bits(n: int, bits: int) -> Graph:
-    adj = _adjacency(bits, n)
-    return graph(n, [(u, v) for v in range(1, n) for u in range(v) if adj[v] >> u & 1])
+            deg = [a.bit_count() for a in adj]
+            keys = {w: sorted(deg[x] for x in unit if adj[w] >> x & 1) for w in (*ties, v)}
+            if min(keys.values()) < keys[v]:
+                continue
+            code, labels, automorphisms = _least_code(adj, [unit], [(1 << v + 1) - 1])
+            # The candidates are whole orbits, so the least is least in its own.
+            least = min(labels[w] for w in keys if keys[w] == keys[v])
+            if least == labels[v] or _orbit_minima(v + 1, automorphisms)[labels[v]] == least:
+                yield code, automorphisms
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected n-vertex graphs.
 
     Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 1998).  Level k attaches a new vertex v to every nonempty
-    subset of every representative P on k - 1 vertices.  A child is kept
-    only when v is one of its canonical vertices: the least non-cut vertices
-    by degree, then by the sorted degrees of their neighbours, then by
-    `_rooted_code` (see `_canonical_children`).  Only the kept children get
-    a canonical form, and the level keeps the distinct forms.
+    J. Algorithms 1998).  Level k attaches a new vertex v to the least
+    subset of each orbit of nonempty subsets of each representative P on
+    k - 1 vertices, under P's automorphisms, and keeps a child when v is
+    canonical: of its least non-cut vertices by degree, then by the sorted
+    degrees of their neighbours, v is in the orbit of the one with the least
+    `_least_code` label.  That orbit is chosen invariantly, as canonical
+    labellings of isomorphic graphs give these candidates the same labels.
 
-    Nothing is lost.  Every connected graph C has a non-cut vertex, so it has
-    canonical vertices; let m be one.  C - m is connected, so it is
-    isomorphic to some representative P, and the isomorphism carries m's
-    neighbours to a subset S of P.  The child of P on S is isomorphic to C
-    with v standing for m.  The keys are invariants, so v is canonical there
-    and the child is kept.  Conversely, the canonical vertices of a kept
-    child C form one orbit, so P is isomorphic to C - m and C is kept from
-    one parent only.  Two kept children of P are isomorphic only when an
-    automorphism of P maps one subset onto the other, and the set of forms
-    removes those duplicates.
-
-    Representatives come out in increasing canonical bit-string order.  n is
+    Nothing is lost: for a canonical vertex m of a connected graph C, an
+    isomorphism maps C - m onto some P and m's neighbours into the orbit of
+    a least subset S, and v is canonical in the child of P on S, which is
+    isomorphic to C.  Nothing is repeated: C - v is one class for every
+    canonical v, so C has one parent P, and an isomorphism between two kept
+    children of P can be chosen to fix v, which makes it an automorphism of
+    P between their subsets: both are one least subset.  So the forms come
+    out distinct, in increasing order, and one met twice is a bug.  n is
     checked at the call; the work runs as the iterator is read.
     """
     if not 1 <= n <= ENUMERATION_CAP:
@@ -281,17 +283,15 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 
 
 def _enumerate(n: int) -> Iterator[Graph]:
-    level = [0]  # canonical edge bitmasks of connected graphs on k vertices
+    level = [(0, [])]  # (canonical edge bitmask, automorphisms) per graph on k vertices
     for k in range(2, n + 1):
-        v = k - 1
-        unit = tuple(range(k))
-        forms = set()
-        for parent in level:
-            for adj in _canonical_children(_adjacency(parent, v)):
-                forms.add(_least_code(adj, [unit], [(1 << k) - 1]))
-        level = sorted(forms)
-    for bits in level:
-        yield _graph_from_bits(n, bits)
+        children = (_canonical_children(_adjacency(bits, k - 1), gens) for bits, gens in level)
+        level = sorted(child for kept in children for child in kept)
+        if any(a[0] == b[0] for a, b in zip(level, level[1:])):
+            raise RuntimeError(f"a {k}-vertex graph was kept twice; this is an enumeration bug")
+    for bits, _ in level:
+        adj = _adjacency(bits, n)
+        yield graph(n, [(u, v) for v in range(1, n) for u in range(v) if adj[v] >> u & 1])
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ from mdlab import extremal
 from mdlab.extremal import (
     _adjacency,
     _canonical,
+    _least_code,
+    _orbit_minima,
     _pair_pos,
-    _rooted_code,
+    _subset_representatives,
     enumerate_connected,
     md_census,
     verify_f,
@@ -89,7 +91,7 @@ def test_enumeration_checks_n_at_the_call(n):
         enumerate_connected(n)
 
 
-def test_rooted_code_is_equal_exactly_on_orbits():
+def test_search_automorphisms_give_exactly_the_orbits():
     rng = random.Random(1)
     # C6, the triangular prism and a path: one orbit, one orbit, three.
     graphs = [
@@ -102,17 +104,44 @@ def test_rooted_code_is_equal_exactly_on_orbits():
         graphs.append((n, [e for e in combinations(range(n), 2) if rng.random() < p]))
     for n, edges in graphs:
         adj = _adjacency(_bits(edges), n)
-        same = {(w, w) for w in range(n)}
-        for perm in permutations(range(n)):
-            if all(adj[perm[u]] >> perm[v] & 1 for u, v in edges):
-                same.update((w, perm[w]) for w in range(n))
-        codes = [_rooted_code(adj, w) for w in range(n)]
-        for w in range(n):
-            for x in range(n):
-                assert (codes[w] == codes[x]) == ((w, x) in same), (n, edges, w, x)
-        perm = rng.sample(range(n), n)
-        moved = _adjacency(_bits([(perm[u], perm[v]) for u, v in edges]), n)
-        assert [_rooted_code(moved, perm[w]) for w in range(n)] == codes
+        code, labels, generators = _least_code(adj, [tuple(range(n))], [(1 << n) - 1])
+        # The generators permute the labels, which relabel the graph to code.
+        assert code == _bits([(labels[u], labels[v]) for u, v in edges])
+        canon = _adjacency(code, n)
+        pairs = [(u, v) for v in range(n) for u in range(v) if canon[v] >> u & 1]
+        group = [
+            perm
+            for perm in permutations(range(n))
+            if all(canon[perm[u]] >> perm[v] & 1 for u, v in pairs)
+        ]
+        assert all(tuple(perm) in group for perm in generators), (n, edges)
+        assert _orbit_minima(n, generators) == [min(perm[x] for perm in group) for x in range(n)]
+
+        def image(perm, subset):
+            return sum(1 << perm[u] for u in range(n) if subset >> u & 1)
+
+        least = [s for s in range(1, 1 << n) if all(image(perm, s) >= s for perm in group)]
+        assert _subset_representatives(n, generators) == least, (n, edges)
+
+
+def test_enumeration_pins_its_refinement_searches(monkeypatch):
+    # One search per child that survives the degree keys: a child for each
+    # of the 995 classes on 2..7 vertices, and 33 that the orbit test drops.
+    # A lost orbit prune or a second search per child moves the count.
+    searches = []
+    search = extremal._least_code
+    monkeypatch.setattr(extremal, "_least_code", lambda *a: searches.append(a) or search(*a))
+    assert sum(1 for _ in enumerate_connected(7)) == CONNECTED_COUNTS[7]
+    assert len(searches) == 1028
+
+
+def test_a_duplicate_form_is_an_enumeration_bug(monkeypatch):
+    # Without automorphisms every subset is its own orbit, so two isomorphic
+    # children of one parent (P3 from K2, for one) are both kept.
+    prune = extremal._subset_representatives
+    monkeypatch.setattr(extremal, "_subset_representatives", lambda k, gens: prune(k, []))
+    with pytest.raises(RuntimeError, match="enumeration bug"):
+        list(enumerate_connected(5))
 
 
 def test_canonical_is_invariant_under_relabelling():
