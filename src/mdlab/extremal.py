@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 # md_exact is looked up on the module at each call, so a wrapper installed on
 # solver.md_exact sees every census solve.
 from mdlab import solver
-from mdlab.graph import Graph, from_graph6, graph, is_connected, to_graph6
+from mdlab.graph import Graph, from_graph6, graph, to_graph6
 
 ENUMERATION_CAP = 8
 
@@ -87,31 +87,28 @@ def _adjacency(bits: int, k: int) -> list[int]:
     return adj
 
 
-def _least_code(
-    adj: list[int], cells: list[tuple[int, ...]], splitters: list[int]
-) -> tuple[int, list[int], list[list[int]]]:
-    """Least bit-string over the leaves of a refinement search from `cells`,
-    the labels that give it, and generators of the automorphisms.
+def _least_code(adj: list[int]) -> tuple[int, list[int], list[list[int]]]:
+    """Least bit-string over the leaves of a refinement search from the unit
+    partition, the labels that give it, and generators of the automorphisms.
 
     The search follows McKay & Piperno, "Practical graph isomorphism II"
     (2014).  Each node is an ordered partition, refined until equitable:
-    every cell splits by neighbour counts into a splitter (the starting
-    cells, each individualized vertex and each new piece), pieces in
+    every cell splits by neighbour counts into a splitter (the whole vertex
+    set, each individualized vertex and each new piece), pieces in
     decreasing count.  Each vertex of the first non-singleton cell is then
     individualized in turn, as a singleton just before the rest of its cell.
     A discrete partition is a leaf and relabels the graph: the vertex in
     cell i becomes vertex i.  No step reads a vertex id, so the least
-    bit-string depends only on the graph with its starting cells, up to
-    isomorphism.  When every vertex of the target cell is a twin of its
-    first (equal neighbourhoods, ignoring each other), swapping two maps one
-    subtree onto the other, so only the first is branched on; this keeps
-    stars and cliques at one leaf.
+    bit-string depends only on the graph up to isomorphism.  When every
+    vertex of the target cell is a twin of its first (equal neighbourhoods,
+    ignoring each other), swapping two maps one subtree onto the other, so
+    only the first is branched on; this keeps stars and cliques at one leaf.
 
     labels[u] is u's cell in one least leaf.  The generators permute
     labels (perm[i] is i's image): the twin swaps, and the map from that leaf
-    to each other least leaf.  They generate every automorphism that keeps
-    the starting cells: without the twin rule the least leaves would be one
-    orbit of that group, and a pruned subtree is a twin swap's image.
+    to each other least leaf.  They generate every automorphism: without the
+    twin rule the least leaves would be one orbit of the automorphism group,
+    and a pruned subtree is a twin swap's image.
     """
     k = len(adj)
     leaves, swaps = [], set()  # (code, vertex order) per leaf; twin pairs
@@ -158,7 +155,7 @@ def _least_code(
         for v in cell[:1] if twins else cell:
             search(head + [(v,), tuple(w for w in cell if w != v)] + tail, [1 << v])
 
-    search(cells, splitters)
+    search([tuple(range(k))], [(1 << k) - 1])
     code, least = min(leaves)
     others = [order for leaf_code, order in leaves if leaf_code == code and order != least]
     # Swapping twins a and b maps the least leaf to its order with a, b swapped.
@@ -170,7 +167,7 @@ def _least_code(
 def _canonical(bits: int, k: int) -> int:
     """Canonical form of a k-vertex graph in the `_pair_pos` encoding: the
     least leaf of `_least_code`, equal exactly for isomorphic graphs."""
-    return _least_code(_adjacency(bits, k), [tuple(range(k))], [(1 << k) - 1])[0]
+    return _least_code(_adjacency(bits, k))[0]
 
 
 def _orbit_minima(size: int, maps: list[list[int]]) -> list[int]:
@@ -229,7 +226,6 @@ def _canonical_children(
     form and the orbits that settle a tie.  v is non-cut, as P is connected.
     """
     v = len(parent_adj)
-    unit = tuple(range(v + 1))
     degrees = [a.bit_count() for a in parent_adj]
     parts = [_components_without(parent_adj, w) for w in range(v)]
     for subset in _subset_representatives(v, generators):
@@ -245,10 +241,10 @@ def _canonical_children(
             adj = [a | (subset >> u & 1) << v for u, a in enumerate(parent_adj)]
             adj.append(subset)
             deg = [a.bit_count() for a in adj]
-            keys = {w: sorted(deg[x] for x in unit if adj[w] >> x & 1) for w in (*ties, v)}
+            keys = {w: sorted(d for x, d in enumerate(deg) if adj[w] >> x & 1) for w in (*ties, v)}
             if min(keys.values()) < keys[v]:
                 continue
-            code, labels, automorphisms = _least_code(adj, [unit], [(1 << v + 1) - 1])
+            code, labels, automorphisms = _least_code(adj)
             # The candidates are whole orbits, so the least is least in its own.
             least = min(labels[w] for w in keys if keys[w] == keys[v])
             if least == labels[v] or _orbit_minima(v + 1, automorphisms)[labels[v]] == least:
@@ -284,12 +280,19 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 
 def _enumerate(n: int) -> Iterator[Graph]:
     level = [(0, [])]  # (canonical edge bitmask, automorphisms) per graph on k vertices
+    forms = [0]  # the bitmasks alone
     for k in range(2, n + 1):
         children = (_canonical_children(_adjacency(bits, k - 1), gens) for bits, gens in level)
-        level = sorted(child for kept in children for child in kept)
-        if any(a[0] == b[0] for a, b in zip(level, level[1:])):
+        kept = (child for parent in children for child in parent)
+        if k < n:
+            level = sorted(kept)
+            forms = [bits for bits, _ in level]
+        else:
+            # Nothing reads level n's automorphisms, so they are dropped as they come.
+            forms = sorted(bits for bits, _ in kept)
+        if any(a == b for a, b in zip(forms, forms[1:])):
             raise RuntimeError(f"a {k}-vertex graph was kept twice; this is an enumeration bug")
-    for bits, _ in level:
+    for bits in forms:
         adj = _adjacency(bits, n)
         yield graph(n, [(u, v) for v in range(1, n) for u in range(v) if adj[v] >> u & 1])
 
@@ -307,34 +310,18 @@ def _md_of_graph6(g6: str) -> int:
 _CENSUS_CACHE: dict[int, tuple[tuple[str, int, int], ...]] = {}
 
 
-def md_census(
-    n: int,
-    graphs: Iterable[Graph] | None = None,
-    jobs: int = 1,
-) -> tuple[tuple[str, int, int], ...]:
+def md_census(n: int, jobs: int = 1) -> tuple[tuple[str, int, int], ...]:
     """(graph6, edge count, md) for every connected n-vertex graph.
 
-    Sourced from the built-in enumeration unless `graphs` substitutes an
-    external catalog (each must be connected on n vertices).  Built-in runs
-    are cached per n.  jobs (an int >= 1) is the number of worker processes;
+    The graphs are enumerate_connected(n), in its order, and the rows are
+    cached per n.  jobs (an int >= 1) is the number of worker processes;
     every solve runs on md_exact's default node budget.
     """
     if type(jobs) is not int or jobs < 1:  # bools refused too
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
-    if graphs is None and n in _CENSUS_CACHE:
+    if n in _CENSUS_CACHE:
         return _CENSUS_CACHE[n]
-    if graphs is None:
-        pool = list(enumerate_connected(n))
-    else:
-        pool = list(graphs)
-        for gg in pool:
-            if not isinstance(gg, Graph):
-                raise ValueError(f"external catalog entry is not a Graph: {gg!r}")
-            if gg.n != n or not is_connected(gg):
-                raise ValueError(
-                    f"external catalog entry is not a connected {n}-vertex graph: "
-                    f"{to_graph6(gg)}"
-                )
+    pool = list(enumerate_connected(n))
     g6s = [to_graph6(gg) for gg in pool]
     if jobs > 1:
         # Imported here so that importing this module, and every serial
@@ -346,8 +333,7 @@ def md_census(
     else:
         values = [solver.md_exact(gg).value for gg in pool]
     rows = tuple((g6, gg.m, v) for g6, gg, v in zip(g6s, pool, values))
-    if graphs is None:
-        _CENSUS_CACHE[n] = rows
+    _CENSUS_CACHE[n] = rows
     return rows
 
 

@@ -1,9 +1,7 @@
 """Deterministic constructors for the named graph families and their colorings.
 
-Every builder returns a FamilyGraph carrying the graph plus a label map from
-structural vertex names (hub, path positions, subdivision vertices, ...) to
-ids, so callers can locate the vertices a construction talks about.  Builds
-are fully deterministic: same parameters, same graph, same labels.
+Every builder returns a FamilyGraph carrying the graph.  Builds are fully
+deterministic: same parameters, same graph, same vertex ids.
 
 The md-extremal families:
 
@@ -17,7 +15,7 @@ The md-extremal families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mdlab.coloring import EdgeColoring
 from mdlab.graph import Graph, graph
@@ -26,7 +24,6 @@ from mdlab.graph import Graph, graph
 @dataclass(frozen=True)
 class FamilyGraph:
     graph: Graph
-    labels: dict[str, int] = field(default_factory=dict)
 
 
 def _need(cond: bool, message: str) -> None:
@@ -58,39 +55,34 @@ def complete_minus_edge(n: int) -> FamilyGraph:
 def subdivided_fan(n: int) -> FamilyGraph:
     """Fan on n path vertices with every inner spoke subdivided.
 
-    The two end spokes hub-p1 and hub-pn stay intact; the spoke to p_i
-    (1 < i < n) runs through a fresh vertex s_i.  2n-1 vertices, 3(n-1) edges.
+    The hub is vertex 0 and path vertex p_i is vertex i.  The two end spokes
+    hub-p1 and hub-pn stay intact; the spoke to p_i (1 < i < n) runs through
+    a fresh vertex.  2n-1 vertices, 3(n-1) edges.
     """
     _need(n >= 3, f"subdivided fan needs n >= 3, got {n}")
     edges = [(i, i + 1) for i in range(1, n)]
     edges += [(0, 1), (0, n)]
-    labels = {"hub": 0}
-    labels.update({f"p{i}": i for i in range(1, n + 1)})
     nxt = n + 1
     for i in range(2, n):
         edges += [(0, nxt), (nxt, i)]
-        labels[f"s{i}"] = nxt
         nxt += 1
-    return FamilyGraph(graph(nxt, edges), labels)
+    return FamilyGraph(graph(nxt, edges))
 
 
 def near_subdivided_fan(n: int) -> FamilyGraph:
     """Fan on n path vertices with spokes to p2..p_{n-2} subdivided.
 
-    Spokes to p1, p_{n-1} and p_n stay intact, leaving one triangle at the
-    far end.  2n-2 vertices, 3n-4 edges.
+    Numbered as in subdivided_fan.  Spokes to p1, p_{n-1} and p_n stay
+    intact, leaving one triangle at the far end.  2n-2 vertices, 3n-4 edges.
     """
     _need(n >= 4, f"near-subdivided fan needs n >= 4, got {n}")
     edges = [(i, i + 1) for i in range(1, n)]
     edges += [(0, 1), (0, n - 1), (0, n)]
-    labels = {"hub": 0}
-    labels.update({f"p{i}": i for i in range(1, n + 1)})
     nxt = n + 1
     for i in range(2, n - 1):
         edges += [(0, nxt), (nxt, i)]
-        labels[f"s{i}"] = nxt
         nxt += 1
-    return FamilyGraph(graph(nxt, edges), labels)
+    return FamilyGraph(graph(nxt, edges))
 
 
 def sparsest_md_one(n: int) -> FamilyGraph:
@@ -98,71 +90,37 @@ def sparsest_md_one(n: int) -> FamilyGraph:
 
     Small orders are complete graphs (K_4 loses an edge); from five vertices
     on, fans with subdivided spokes take over, odd orders keeping both end
-    spokes and even orders keeping a triangle at one end.  The labels include
-    "attach1"/"attach2", the default endpoints used when a path is welded on.
+    spokes and even orders keeping a triangle at one end.
     """
     _need(n >= 1, f"sparsest-md-one needs n >= 1, got {n}")
     if n <= 3:
-        fam = complete_graph(n)
-        labels = dict(fam.labels)
-        if n >= 2:
-            labels.update({"attach1": 0, "attach2": 1})
-        return FamilyGraph(fam.graph, labels)
+        return complete_graph(n)
     if n == 4:
-        fam = complete_minus_edge(4)
-        return FamilyGraph(fam.graph, {"attach1": 0, "attach2": 1})
+        return complete_minus_edge(4)
     if n % 2 == 1:
-        fam = subdivided_fan((n + 1) // 2)
-        size = (n + 1) // 2
-    else:
-        fam = near_subdivided_fan((n + 2) // 2)
-        size = (n + 2) // 2
-    labels = dict(fam.labels)
-    labels["attach1"] = labels["p1"]
-    labels["attach2"] = labels[f"p{size}"]
-    return FamilyGraph(fam.graph, labels)
-
-
-def _weld_path(core: FamilyGraph, t: int) -> tuple[Graph, dict[str, int], list[tuple[int, int]]]:
-    """Join a t-edge path to the core's two attachment vertices.
-
-    Returns the graph, labels, and the path edges in walking order.
-    """
-    g0 = core.graph
-    u = core.labels["attach1"]
-    w = core.labels["attach2"]
-    walk = [u]
-    nxt = g0.n
-    for _ in range(t - 1):
-        walk.append(nxt)
-        nxt += 1
-    walk.append(w)
-    path_edges = [
-        (min(a, b), max(a, b)) for a, b in zip(walk, walk[1:])
-    ]
-    g = graph(nxt, list(g0.edges) + path_edges)
-    labels = {f"core:{k}": v for k, v in core.labels.items()}
-    labels.update({f"t{i}": v for i, v in enumerate(walk)})
-    return g, labels, path_edges
+        return subdivided_fan((n + 1) // 2)
+    return near_subdivided_fan((n + 2) // 2)
 
 
 def _threshold_witness_parts(
     n: int, r: int
-) -> tuple[Graph, dict[str, int], list[tuple[int, int]], tuple[tuple[int, int], ...]]:
-    """Graph, labels, ordered path edges, core edges for threshold_witness."""
+) -> tuple[Graph, list[tuple[int, int]], tuple[tuple[int, int], ...]]:
+    """Graph, ordered path edges and core edges for threshold_witness.
+
+    The path is welded between two vertices of a sparsest_md_one core on k
+    vertices: 0 and 1 when k <= 4, else the two ends of the fan's path, 1 and
+    (k + 2) // 2.
+    """
     _need(n >= 6, f"threshold witness needs n >= 6, got {n}")
     _need(3 <= r <= n // 2, f"threshold witness needs 3 <= r <= n//2, got r={r}")
     if n % 2 == 0 and r == n // 2:
-        fam = cycle_graph(n)
-        return fam.graph, dict(fam.labels), [], ()
-    if n % 2 == 0:
-        core = sparsest_md_one(n - 2 * r + 1)
-        t = 2 * r
-    else:
-        core = sparsest_md_one(n - 2 * r + 2)
-        t = 2 * r - 1
-    g, labels, path_edges = _weld_path(core, t)
-    return g, labels, path_edges, core.graph.edges
+        return cycle_graph(n).graph, [], ()
+    k, t = (n - 2 * r + 1, 2 * r) if n % 2 == 0 else (n - 2 * r + 2, 2 * r - 1)
+    core = sparsest_md_one(k).graph
+    u, w = (0, 1) if k <= 4 else (1, (k + 2) // 2)
+    walk = [u, *range(k, k + t - 1), w]
+    path_edges = [(min(a, b), max(a, b)) for a, b in zip(walk, walk[1:])]
+    return graph(k + t - 1, list(core.edges) + path_edges), path_edges, core.edges
 
 
 def threshold_witness(n: int, r: int) -> FamilyGraph:
@@ -171,14 +129,13 @@ def threshold_witness(n: int, r: int) -> FamilyGraph:
     A sparse md = 1 core with a long path welded between two of its vertices;
     for even n with r = n/2 the construction degenerates to the n-cycle.
     """
-    g, labels, _, _ = _threshold_witness_parts(n, r)
-    return FamilyGraph(g, labels)
+    return FamilyGraph(_threshold_witness_parts(n, r)[0])
 
 
 def threshold_witness_coloring(n: int, r: int) -> EdgeColoring:
     """The canonical r-coloring of threshold_witness(n, r): path edges cycle
     through 1..r; core edges take 1 for even n and r for odd n."""
-    g, _, path_edges, core_edges = _threshold_witness_parts(n, r)
+    g, path_edges, core_edges = _threshold_witness_parts(n, r)
     if not path_edges:  # the cycle case
         return cycle_md_coloring(n)
     by_edge: dict[tuple[int, int], int] = {}
@@ -217,7 +174,7 @@ def clique_lollipop(n: int, tail: int) -> FamilyGraph:
         nxt = b + t
         edges.append((min(prev, nxt), max(prev, nxt)))
         prev = nxt
-    return FamilyGraph(graph(n, edges), {"tail_end": n - 1 if tail else 0})
+    return FamilyGraph(graph(n, edges))
 
 
 def near_clique_lollipop(n: int, tail: int) -> FamilyGraph:
@@ -237,4 +194,4 @@ def near_clique_lollipop(n: int, tail: int) -> FamilyGraph:
         nxt = b + t
         edges.append((min(prev, nxt), max(prev, nxt)))
         prev = nxt
-    return FamilyGraph(graph(n, edges), {"block_extra": b - 1})
+    return FamilyGraph(graph(n, edges))

@@ -9,8 +9,8 @@ between workers.
 The block decomposition lives here beside is_connected because it is a
 connectivity query too: md adds over blocks, so the solver works block by
 block, and one depth-first search both checks connectivity and yields the
-blocks and cut vertices.  A block's sorted vertex tuple is the only map
-between its local and original vertex ids.
+blocks.  A block's sorted vertex tuple is the only map between its local and
+original vertex ids.
 """
 
 from __future__ import annotations
@@ -114,12 +114,11 @@ def is_connected(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs and bridges) with cut vertices.
+    """Blocks: maximal 2-connected subgraphs and bridges.
 
     Attributes:
         blocks: vertex set of each block, sorted; blocks ordered by smallest
             contained vertex (then lexicographically).
-        cut_vertices: sorted tuple of cut vertices.
         block_graphs: for each block, the induced Graph on local ids, where
             local vertex i of block b is original vertex blocks[b][i].  The
             map is increasing, so a block edge (a, c) is the original edge
@@ -127,7 +126,6 @@ class BlockDecomposition:
     """
 
     blocks: tuple[tuple[int, ...], ...]
-    cut_vertices: tuple[int, ...]
     block_graphs: tuple[Graph, ...]
 
 
@@ -150,7 +148,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     """
     n = g.n
     if n == 0:
-        return BlockDecomposition((), (), ())
+        return BlockDecomposition((), ())
     adj = g.adjacency
     disc = [-1] * n
     low = [0] * n
@@ -160,10 +158,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     edge_stack: list[tuple[int, int]] = []
     vertex_stack: list[int] = []
     found: list[tuple[list[int], list[tuple[int, int]]]] = []
-    cut: set[int] = set()
     disc[0] = 0
     timer = 1
-    root_children = 0
     stack = [(0, iter(adj[0]))]
     while stack:
         v, nbrs = stack[-1]
@@ -177,8 +173,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                 edge_stack.append((v, w))
                 vertex_stack.append(w)
                 stack.append((w, iter(adj[w])))
-                if v == 0:
-                    root_children += 1
                 break
             if disc[w] < disc[v] and w != parent[v]:
                 edge_stack.append((v, w))
@@ -199,14 +193,12 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                 del vertex_stack[h:]
                 verts.append(u)
                 found.append((verts, edges))
-                if u != 0 or root_children > 1:
-                    cut.add(u)
             elif low[v] < low[u]:
                 low[u] = low[v]
     if timer < n:
         raise ValueError("block decomposition requires a connected graph")
     if len(found) == 1:
-        return BlockDecomposition((tuple(range(n)),), (), (g,))
+        return BlockDecomposition((tuple(range(n)),), (g,))
 
     local = [0] * n
     records = []
@@ -223,7 +215,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     records.sort(key=lambda r: r[0])
     return BlockDecomposition(
         blocks=tuple(r[0] for r in records),
-        cut_vertices=tuple(sorted(cut)),
         block_graphs=tuple(r[1] for r in records),
     )
 

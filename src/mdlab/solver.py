@@ -211,8 +211,8 @@ def md_upper_bound(g: Graph, _table: _SepTable | None = None) -> tuple[int, str]
     vertex bound of the graph R that survives: md(G) <= md(R) <= |V(R)| - 1.
     Every rule is closed-form, so this never solves.  Without `_table`, one
     block decomposition checks connectivity (it raises ValueError on a
-    disconnected graph) and, when it finds no cut vertex, admits the
-    half-order rule.
+    disconnected graph) and, when g is one block, admits the half-order
+    rule.
 
     md_exact passes each block's _SepTable as `_table`: the mono-classes
     count is then its class count, and half-order applies without a block
@@ -227,7 +227,7 @@ def md_upper_bound(g: Graph, _table: _SepTable | None = None) -> tuple[int, str]
     if g.n < 2:
         raise ValueError("bounds are defined for connected graphs on >= 2 vertices")
     best, name = g.n - 1, "vertex-bound"
-    two_connected = _table is not None or not block_decomposition(g).cut_vertices
+    two_connected = _table is not None or len(block_decomposition(g).blocks) == 1
     if two_connected and g.n // 2 < best:
         best, name = g.n // 2, "half-order"
     if best > 1:

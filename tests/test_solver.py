@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from mdlab import solver
+from mdlab import extremal, solver
 from mdlab.coloring import EdgeColoring, is_md_coloring
 from mdlab.extremal import enumerate_connected, md_census
 from mdlab.graph import block_decomposition, graph, is_connected, to_graph6
@@ -442,12 +442,12 @@ class TestBudgets:
             md_exact(cycle(6), node_budget=budget)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_census_solves_with_md_exact_default_budget(self, jobs):
+    def test_census_solves_with_md_exact_default_budget(self, jobs, monkeypatch):
         # md_census takes no budget: serial and worker solves alike must give
-        # md_exact's own value on every graph.
-        graphs = list(enumerate_connected(5))
-        rows = md_census(5, graphs=graphs, jobs=jobs)
-        assert [v for _, _, v in rows] == [md_exact(g).value for g in graphs]
+        # md_exact's own value on every graph.  An empty cache makes it solve.
+        monkeypatch.setattr(extremal, "_CENSUS_CACHE", {})
+        rows = md_census(5, jobs=jobs)
+        assert [v for _, _, v in rows] == [md_exact(g).value for g in enumerate_connected(5)]
 
 
 class TestLayerHooks:
@@ -498,9 +498,10 @@ class TestLayerHooks:
                 depth -= 1
 
         monkeypatch.setattr(solver, "md_exact", counting)
-        md_census(4, graphs=list(enumerate_connected(4)))
+        monkeypatch.setattr(extremal, "_CENSUS_CACHE", {})
+        md_census(4)
         assert calls == {"top": 6, "nested": 0}
         # HUB_AND_C4's soft layer leaves a graph with a cycle, and its bound
         # solves nothing either.
-        md_census(9, graphs=[HUB_AND_C4])
+        assert solver.md_exact(HUB_AND_C4).value == 2
         assert calls == {"top": 7, "nested": 0}
