@@ -220,6 +220,16 @@ def test_census_refuses_bad_jobs_before_enumerating(jobs, monkeypatch):
         md_census(5, jobs=jobs)
 
 
+@pytest.mark.parametrize("n", [0, 9, -1])
+def test_census_refuses_orders_outside_the_enumeration(n, monkeypatch):
+    # The enumeration is the census's one source, so its order check is the
+    # census's, and a refused order leaves nothing in the cache.
+    monkeypatch.setattr(extremal, "_CENSUS_CACHE", {})
+    with pytest.raises(ValueError, match=f"got {n}"):
+        md_census(n)
+    assert extremal._CENSUS_CACHE == {}
+
+
 def fresh_import(imports, module):
     """Whether `module` is loaded after `import <imports>` in a new interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
