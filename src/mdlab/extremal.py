@@ -280,19 +280,12 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 
 def _enumerate(n: int) -> Iterator[Graph]:
     level = [(0, [])]  # (canonical edge bitmask, automorphisms) per graph on k vertices
-    forms = [0]  # the bitmasks alone
     for k in range(2, n + 1):
         children = (_canonical_children(_adjacency(bits, k - 1), gens) for bits, gens in level)
-        kept = (child for parent in children for child in parent)
-        if k < n:
-            level = sorted(kept)
-            forms = [bits for bits, _ in level]
-        else:
-            # Nothing reads level n's automorphisms, so they are dropped as they come.
-            forms = sorted(bits for bits, _ in kept)
-        if any(a == b for a, b in zip(forms, forms[1:])):
+        level = sorted(child for kept in children for child in kept)
+        if any(a[0] == b[0] for a, b in zip(level, level[1:])):
             raise RuntimeError(f"a {k}-vertex graph was kept twice; this is an enumeration bug")
-    for bits in forms:
+    for bits, _ in level:
         adj = _adjacency(bits, n)
         yield graph(n, [(u, v) for v in range(1, n) for u in range(v) if adj[v] >> u & 1])
 
