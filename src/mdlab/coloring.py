@@ -1,11 +1,15 @@
-"""Edge colorings and the separation verifier.
+"""Edge colorings and the separation verifier: the certificate type and the
+one check every certificate passes.
 
 An edge coloring here is total on the canonical edge order and allows adjacent
-edges to share a color.  The verifier decides whether every vertex pair can be
-separated by deleting one color class, which is the property all md values in
-this package are measured against, and returns the pairs that no color
-separates.  A coloring has no wire format of its own: `mdlab md` prints the
-graph6 text and the color list in its JSON lines.
+edges to share a color; edge (u, v), u < v, has color
+colors[graph.edge_index[(u, v)]].  Colors are never renumbered: md_exact's
+certificates already use exactly the colors 1..md.  The verifier decides
+whether every vertex pair can be separated by deleting one color class, which
+is the property all md values in this package are measured against, and
+returns the pairs that no color separates.  A coloring has no wire format of
+its own: `mdlab md` prints the graph6 text and the color list in its JSON
+lines.
 """
 
 from __future__ import annotations
@@ -37,23 +41,6 @@ class EdgeColoring:
     def k(self) -> int:
         """Number of distinct colors used."""
         return len(set(self.colors))
-
-    def color_of(self, edge: tuple[int, int]) -> int:
-        u, v = edge
-        if u > v:
-            u, v = v, u
-        return self.colors[self.graph.edge_index[(u, v)]]
-
-
-def normalize(c: EdgeColoring) -> EdgeColoring:
-    """Renumber colors to 1..k by first occurrence in canonical edge order."""
-    remap: dict[int, int] = {}
-    out = []
-    for col in c.colors:
-        if col not in remap:
-            remap[col] = len(remap) + 1
-        out.append(remap[col])
-    return EdgeColoring(c.graph, tuple(out))
 
 
 def _component_labels(g: Graph, keep_edges) -> list[int]:
@@ -99,19 +86,3 @@ def is_md_coloring(
         sorted(pair for members in groups.values() for pair in combinations(members, 2))
     )
     return not unseparated, unseparated
-
-
-def merge_to_k(c: EdgeColoring, r: int) -> EdgeColoring:
-    """Collapse the top colors so exactly r remain.
-
-    The palette is first normalized to 1..k; colors >= r then all become r.
-    Merging color classes can only coarsen removals, so the separation
-    property survives.
-    """
-    norm = normalize(c)
-    if not 1 <= r <= norm.k:
-        raise ValueError(f"need 1 <= r <= {norm.k}, got r={r}")
-    return EdgeColoring(
-        norm.graph, tuple(min(col, r) for col in norm.colors)
-    )
-

@@ -164,12 +164,6 @@ def _least_code(adj: list[int]) -> tuple[int, list[int], list[list[int]]]:
     return code, labels, [[labels[u] for u in order] for order in others]
 
 
-def _canonical(bits: int, k: int) -> int:
-    """Canonical form of a k-vertex graph in the `_pair_pos` encoding: the
-    least leaf of `_least_code`, equal exactly for isomorphic graphs."""
-    return _least_code(_adjacency(bits, k))[0]
-
-
 def _orbit_minima(size: int, maps: list[list[int]]) -> list[int]:
     """Least point of each point's orbit in the group `maps` generate (x -> map[x])."""
     least = list(range(size))
@@ -270,8 +264,10 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     canonical v, so C has one parent P, and an isomorphism between two kept
     children of P can be chosen to fix v, which makes it an automorphism of
     P between their subsets: both are one least subset.  So the forms come
-    out distinct, in increasing order, and one met twice is a bug.  n is
-    checked at the call; the work runs as the iterator is read.
+    out distinct, and one met twice is a bug.  The levels are grown
+    depth-first from K1, and the n-vertex forms are sorted and checked for
+    repeats once, so they come out in increasing order.  n is checked at the
+    call; the work runs as the iterator is read.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_CAP}, got {n}")
@@ -279,13 +275,22 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 
 
 def _enumerate(n: int) -> Iterator[Graph]:
-    level = [(0, [])]  # (canonical edge bitmask, automorphisms) per graph on k vertices
-    for k in range(2, n + 1):
-        children = (_canonical_children(_adjacency(bits, k - 1), gens) for bits, gens in level)
-        level = sorted(child for kept in children for child in kept)
-        if any(a[0] == b[0] for a, b in zip(level, level[1:])):
-            raise RuntimeError(f"a {k}-vertex graph was kept twice; this is an enumeration bug")
-    for bits, _ in level:
+    forms: list[int] = []  # canonical edge bitmask of each graph on n vertices
+
+    def grow(bits: int, k: int, generators: list[list[int]]) -> None:
+        # Depth-first, so only the graphs on the path from K1 hold their
+        # automorphisms, and those of the n-vertex graphs are never kept.
+        if k == n:
+            forms.append(bits)
+            return
+        for child, automorphisms in _canonical_children(_adjacency(bits, k), generators):
+            grow(child, k + 1, automorphisms)
+
+    grow(0, 1, [])
+    forms.sort()
+    if any(a == b for a, b in zip(forms, forms[1:])):
+        raise RuntimeError(f"a graph on {n} vertices was kept twice; this is an enumeration bug")
+    for bits in forms:
         adj = _adjacency(bits, n)
         yield graph(n, [(u, v) for v in range(1, n) for u in range(v) if adj[v] >> u & 1])
 

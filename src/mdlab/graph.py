@@ -134,13 +134,12 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
     One iterative depth-first search from vertex 0; a vertex it leaves
     undiscovered means g is disconnected, which raises ValueError.  Every
-    edge is pushed once on an edge stack, and each vertex but the root on a
-    vertex stack, as it is reached.  When the tree edge (u, v) is pushed, both
-    stack heights are stored for v.  A block closes when the search backs out
-    of v with low[v] >= disc[u]: its edges are the edge stack from v's height
-    up, its vertices u and the vertex stack from v's height up, and both
-    stacks are cut back to those heights.  Every edge lands in exactly one
-    block; K_0 and K_1 have no blocks.
+    edge is pushed once on an edge stack as it is reached, and when the tree
+    edge (u, v) is pushed, the stack's height is stored for v.  A block
+    closes when the search backs out of v with low[v] >= disc[u]: its edges
+    are the stack from v's height up, which is then cut back to that height,
+    and its vertices are the ends of those edges.  Every edge lands in
+    exactly one block; K_0 and K_1 have no blocks.
 
     When g (n >= 2) is a single block, g itself is returned as its only block
     graph: the local map is then the identity, and Graph is immutable, so the
@@ -154,10 +153,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     low = [0] * n
     parent = [-1] * n
     edge_height = [0] * n
-    vertex_height = [0] * n
     edge_stack: list[tuple[int, int]] = []
-    vertex_stack: list[int] = []
-    found: list[tuple[list[int], list[tuple[int, int]]]] = []
+    found: list[list[tuple[int, int]]] = []
     disc[0] = 0
     timer = 1
     stack = [(0, iter(adj[0]))]
@@ -169,9 +166,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                 disc[w] = low[w] = timer
                 timer += 1
                 edge_height[w] = len(edge_stack)
-                vertex_height[w] = len(vertex_stack)
                 edge_stack.append((v, w))
-                vertex_stack.append(w)
                 stack.append((w, iter(adj[w])))
                 break
             if disc[w] < disc[v] and w != parent[v]:
@@ -186,13 +181,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             if low[v] >= disc[u]:
                 # u closes a block containing the tree edge (u, v).
                 h = edge_height[v]
-                edges = edge_stack[h:]
+                found.append(edge_stack[h:])
                 del edge_stack[h:]
-                h = vertex_height[v]
-                verts = vertex_stack[h:]
-                del vertex_stack[h:]
-                verts.append(u)
-                found.append((verts, edges))
             elif low[v] < low[u]:
                 low[u] = low[v]
     if timer < n:
@@ -202,8 +192,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
     local = [0] * n
     records = []
-    for verts, edges in found:
-        verts.sort()
+    for edges in found:
+        verts = sorted({x for edge in edges for x in edge})
         for i, x in enumerate(verts):
             local[x] = i
         pairs = []

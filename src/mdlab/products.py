@@ -4,11 +4,13 @@ Vertex (u, v) of a product maps to id u * |H| + v (row-major).  The product
 operation itself is definitional and total; the theorem-shaped helper
 (tensor_md_upper) enforces its own preconditions.
 
-tests/test_products.py confirms, for every pair of connected factors on 2-4
-vertices, that md(G box H) = md(G) + md(H), attained by cartesian_md_coloring
-of the factors' extremal colorings, and that the strong and lexicographic
-products have md 1; and, for every connected tensor product of factors on 3-5
-vertices with minimum degree >= 2, that md(G x H) <= tensor_md_upper(G, H).
+tests/test_products.py confirms, for each of the 465 unordered pairs of
+connected factors on 2-5 vertices, that md(G box H) = md(G) + md(H), with the
+factor values from md_oracle; that cartesian_md_coloring of the factors'
+md_exact certificates separates G box H with exactly the colors
+1..md(G) + md(H); and that the strong and lexicographic products have md 1.
+For each of the 117 connected tensor products of factors on 3-5 vertices with
+minimum degree >= 2 it confirms md(G x H) <= tensor_md_upper(G, H).
 
 The lexicographic product G o H is connected whenever G is, even when H is
 not.  For every connected G on 2-4 vertices and H in {2K1, 3K1, K2+K1} the
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from mdlab.coloring import EdgeColoring, is_md_coloring, normalize
+from mdlab.coloring import EdgeColoring, is_md_coloring
 from mdlab.graph import Graph, graph, is_connected, min_degree, odd_girth
 
 
@@ -66,10 +68,11 @@ def cartesian_md_coloring(
 
     Each product edge lies in exactly one fiber of a factor edge; fibers of
     G-edges inherit cg, fibers of H-edges inherit ch shifted past cg's
-    palette.  With separating inputs the result separates: any path between
-    vertices differing in the H coordinate walks an H-projection that must
-    cross the color class separating them in H, and likewise for G.  Uses
-    cg.k + ch.k colors.
+    largest color.  With separating inputs the result separates: any path
+    between vertices differing in the H coordinate walks an H-projection
+    that must cross the color class separating them in H, and likewise for
+    G.  Uses cg.k + ch.k colors; on md_exact certificates, which use exactly
+    1..md, the palette is exactly 1..md(G) + md(H).
     """
     ok_g, _ = is_md_coloring(g, cg)
     if not ok_g:
@@ -77,19 +80,19 @@ def cartesian_md_coloring(
     ok_h, _ = is_md_coloring(h, ch)
     if not ok_h:
         raise ValueError("the second factor's coloring does not separate it")
-    cg = normalize(cg)
-    ch = normalize(ch)
-    offset = cg.k
+    offset = max(cg.colors, default=0)
     prod = product(g, h, ProductKind.CARTESIAN)
     hn = h.n
     colors = []
+    # Product edge (a, b) has a < b, so its factor edge is already ordered:
+    # ua < ub on a G-fiber and va < vb on an H-fiber.
     for a, b in prod.edges:
         ua, va = divmod(a, hn)
         ub, vb = divmod(b, hn)
         if va == vb:
-            colors.append(cg.color_of((ua, ub)))
+            colors.append(cg.colors[g.edge_index[(ua, ub)]])
         else:
-            colors.append(ch.color_of((va, vb)) + offset)
+            colors.append(ch.colors[h.edge_index[(va, vb)]] + offset)
     return EdgeColoring(prod, tuple(colors))
 
 

@@ -4,10 +4,11 @@ md(G) of a connected graph is the largest color count over edge colorings in
 which every vertex pair is separated by deleting one color class.  The solver
 decomposes into blocks (md adds over blocks), bounds each block from above,
 and finds each block's md with one branch-and-bound search that maximizes
-the number of colors opened.  Merging color classes keeps a coloring
-separating, so md_feasible(g, k) merges the extremal coloring to k colors.
-The block decomposition is also the connectivity check: md_exact and
-md_upper_bound raise ValueError through it on a disconnected graph.
+the number of colors opened.  The certificate uses exactly the colors
+1..md, and merging color classes keeps a coloring separating, so
+md_feasible(g, k) caps every color of the certificate at k.  The block
+decomposition is also the connectivity check: md_exact and md_upper_bound
+raise ValueError through it on a disconnected graph.
 
 The upper bound is the least of four closed-form rules: n - 1
 (vertex-bound), n/2 for a 2-connected block (half-order), the number of
@@ -68,7 +69,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from mdlab.coloring import EdgeColoring, is_md_coloring, merge_to_k
+from mdlab.coloring import EdgeColoring, is_md_coloring
 from mdlab.graph import Graph, block_decomposition, is_connected
 
 
@@ -524,18 +525,22 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
 def md_feasible(g: Graph, k: int) -> EdgeColoring | None:
     """A separating coloring of g with exactly k colors, or None.
 
-    One exists exactly for k <= md, so this merges md_exact's certificate down
-    to k colors.  Raises SearchBudgetExceeded instead of returning None when
-    the default node budget runs out, so an unknown outcome is never silently
-    conflated with infeasibility.
+    One exists exactly for k <= md, since merging color classes keeps a
+    coloring separating.  md_exact's certificate uses exactly the colors
+    1..md, so capping every color at k merges the classes k..md into one and
+    leaves exactly k colors.  The result is re-verified, and a certificate
+    off that palette raises RuntimeError rather than return fewer colors.
+    Raises SearchBudgetExceeded instead of returning None when the default
+    node budget runs out, so an unknown outcome is never silently conflated
+    with infeasibility.
     """
     if k < 1:
         raise ValueError("color count must be >= 1")
     result = md_exact(g)
     if k > result.value:
         return None
-    coloring = merge_to_k(result.certificate, k)
-    if not is_md_coloring(g, coloring)[0]:
+    coloring = EdgeColoring(g, tuple(min(c, k) for c in result.certificate.colors))
+    if coloring.k != k or not is_md_coloring(g, coloring)[0]:
         raise RuntimeError("merged coloring fails verification; this is a solver bug")
     return coloring
 
@@ -565,10 +570,12 @@ def md_exact(g: Graph, *, node_budget: int = NODE_BUDGET) -> MdResult:
     Splits into blocks (md adds over blocks, and bridges contribute 1 each),
     solves each non-trivial block by one branch-and-bound, then assembles a
     whole-graph coloring from the block colorings on disjoint palettes, each
-    block edge mapped back through the block's sorted vertex tuple.  The
-    assembled certificate, the only EdgeColoring a solve builds, is
-    re-verified before returning.  Spending more than node_budget search
-    nodes (an int >= 1) over all blocks raises SearchBudgetExceeded.
+    block edge mapped back through the block's sorted vertex tuple.  Each
+    block takes the next run of colors, so the certificate uses exactly the
+    colors 1..md, which md_feasible relies on.  The assembled certificate,
+    the only EdgeColoring a solve builds, is re-verified before returning.
+    Spending more than node_budget search nodes (an int >= 1) over all
+    blocks raises SearchBudgetExceeded.
     """
     started = time.perf_counter()
     budget = _Budget(node_budget)

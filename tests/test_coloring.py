@@ -3,12 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from mdlab.coloring import (
-    EdgeColoring,
-    is_md_coloring,
-    merge_to_k,
-    normalize,
-)
+from mdlab.coloring import EdgeColoring, is_md_coloring
 from mdlab.graph import graph, is_connected
 
 
@@ -18,10 +13,6 @@ def k(n):
 
 def cycle(n):
     return graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path(n):
-    return graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_coloring(n, colors_in_cycle_order):
@@ -141,69 +132,7 @@ class TestC4Classification:
             col = cycle_coloring(4, [a, b, c, d])
             ok, _ = is_md_coloring(g, col)
             assert ok
-            assert col.color_of((0, 1)) == col.color_of((2, 3))
-
-
-class TestMergeAndNormalize:
-    def test_normalize_examples(self):
-        g = path(4)
-        assert normalize(EdgeColoring(g, (5, 5, 9))).colors == (1, 1, 2)
-        assert normalize(EdgeColoring(g, (1, 2, 3))).colors == (1, 2, 3)
-        g2 = cycle(4)
-        assert normalize(EdgeColoring(g2, (2, 1, 2, 1))).colors == (1, 2, 1, 2)
-
-    def test_normalize_idempotent(self):
-        rng = random.Random(13)
-        for _ in range(30):
-            g = random_connected(rng.randrange(2, 7), 0.6, rng)
-            c = EdgeColoring(g, tuple(rng.randrange(1, 6) for _ in range(g.m)))
-            once = normalize(c)
-            assert normalize(once) == once
-            assert set(once.colors) == set(range(1, once.k + 1))
-
-    def test_merge_keeps_count_when_r_is_k(self):
-        g = cycle(6)
-        c = normalize(EdgeColoring(g, (1, 2, 3, 1, 2, 3)))
-        assert merge_to_k(c, c.k) == c
-
-    def test_merge_to_one_is_trivial(self):
-        g = cycle(6)
-        c = EdgeColoring(g, (1, 2, 3, 1, 2, 3))
-        assert merge_to_k(c, 1) == EdgeColoring(g, (1,) * g.m)
-
-    def test_merge_extremal_c6(self):
-        # A 3-class coloring of C_6 pairing opposite edges separates all
-        # pairs; merging down to 2 colors must keep that property.
-        g = cycle(6)
-        col = cycle_coloring(6, [1, 2, 3, 1, 2, 3])
-        ok, _ = is_md_coloring(g, col)
-        assert ok
-        merged = merge_to_k(col, 2)
-        assert merged.k == 2
-        ok2, _ = is_md_coloring(g, merged)
-        assert ok2
-
-    def test_merge_preserves_property_randomized(self):
-        rng = random.Random(34)
-        checked = 0
-        for _ in range(120):
-            g = random_connected(rng.randrange(3, 7), 0.55, rng)
-            c = EdgeColoring(g, tuple(rng.randrange(1, 5) for _ in range(g.m)))
-            ok, _ = is_md_coloring(g, c)
-            if not ok:
-                continue
-            checked += 1
-            for r in range(1, normalize(c).k + 1):
-                merged = merge_to_k(c, r)
-                assert merged.k == r
-                ok2, _ = is_md_coloring(g, merged)
-                assert ok2
-        assert checked >= 10
-
-    def test_merge_domain(self):
-        c = EdgeColoring(cycle(4), (1,) * 4)
-        with pytest.raises(ValueError):
-            merge_to_k(c, 2)
+            assert col.colors[g.edge_index[(0, 1)]] == col.colors[g.edge_index[(2, 3)]]
 
 
 class TestRestriction:
@@ -235,7 +164,7 @@ class TestRestriction:
                 sub_col = EdgeColoring(
                     sub,
                     tuple(
-                        c.color_of((inv[u], inv[v])) for u, v in sub.edges
+                        c.colors[g.edge_index[(inv[u], inv[v])]] for u, v in sub.edges
                     ),
                 )
                 ok_sub, _ = is_md_coloring(sub, sub_col)

@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -20,14 +21,11 @@ C7 = cycle_graph(7).graph
 C8 = cycle_graph(8).graph
 C9 = cycle_graph(9).graph
 
-# Every unordered pair of connected factors on 2-4 vertices (9 graphs, 45
+# Every unordered pair of connected factors on 2-5 vertices (30 graphs, 465
 # pairs), and every pair of connected factors on 3-5 vertices with minimum
 # degree >= 2 (15 graphs) whose tensor product is connected (117 pairs).
-SMALL_PAIRS = list(
-    combinations_with_replacement(
-        [g for n in (2, 3, 4) for g in enumerate_connected(n)], 2
-    )
-)
+FACTORS = [g for n in (2, 3, 4, 5) for g in enumerate_connected(n)]
+SMALL_PAIRS = list(combinations_with_replacement(FACTORS, 2))
 TENSOR_PAIRS = [
     (g, h)
     for g, h in combinations_with_replacement(
@@ -71,8 +69,9 @@ def test_product_md_and_search_nodes(g, h, kind, md, nodes):
     result = md_exact(p)
     assert result.value == md
     assert result.stats["nodes"] == nodes
-    ok, _ = is_md_coloring(p, result.certificate)
-    assert ok and result.certificate.k == md
+    assert is_md_coloring(p, result.certificate)[0]
+    # md_feasible relies on this palette: exactly the colors 1..md.
+    assert set(result.certificate.colors) == set(range(1, md + 1))
 
 
 # Each 81-vertex product solves under a budget of about three times its node
@@ -105,18 +104,30 @@ def test_tensor_upper_bound_holds():
 
 
 def test_sweep_sizes():
-    assert len(SMALL_PAIRS) == 45
+    assert len(FACTORS) == 30
+    assert len(SMALL_PAIRS) == 465
     assert len(TENSOR_PAIRS) == 117
     assert len(LEX_DISCONNECTED_PAIRS) == 27
+
+
+# Each factor is solved once by the oracle and once by md_exact, not once per
+# pair it takes part in.
+factor_oracle = cache(md_oracle)
+
+
+@cache
+def factor_certificate(g):
+    return md_exact(g).certificate
 
 
 @pytest.mark.parametrize("g, h", SMALL_PAIRS, ids=[pair_id(p) for p in SMALL_PAIRS])
 def test_cartesian_md_adds(g, h):
     # Factor values come from the independent oracle.
-    want = md_oracle(g) + md_oracle(h)
+    want = factor_oracle(g) + factor_oracle(h)
     assert md_exact(product(g, h, ProductKind.CARTESIAN)).value == want
-    cert = cartesian_md_coloring(g, md_exact(g).certificate, h, md_exact(h).certificate)
-    assert cert.k == want and is_md_coloring(cert.graph, cert)[0]
+    cert = cartesian_md_coloring(g, factor_certificate(g), h, factor_certificate(h))
+    assert set(cert.colors) == set(range(1, want + 1))
+    assert is_md_coloring(cert.graph, cert)[0]
 
 
 @pytest.mark.parametrize("g, h", SMALL_PAIRS, ids=[pair_id(p) for p in SMALL_PAIRS])

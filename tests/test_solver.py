@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -226,11 +227,26 @@ def test_census_solves_match_the_pinned_digest():
     assert len(graphs) == 996
     for g in graphs:
         r = md_exact(g)
+        # md_feasible relies on this palette: exactly the colors 1..md.
+        assert set(r.certificate.colors) == set(range(1, r.value + 1)), g.edges
         digest.update(
             f"{to_graph6(g)} {r.value} {list(r.certificate.colors)} "
             f"{[list(s) for s in r.bounds_trail]} {r.stats['nodes']}\n".encode()
         )
     assert digest.hexdigest() == SOLVE_DIGEST_N7
+
+
+def test_feasible_refuses_a_certificate_that_skips_a_color(monkeypatch):
+    # md_feasible caps the certificate's colors at k, which leaves exactly k
+    # colors only on the palette 1..md.  Colors {2, 3} with md 2 separate C4,
+    # but capped at 2 they are one color: md_feasible must raise, not return it.
+    c4 = cycle(4)
+    skipping = replace(md_exact(c4), certificate=EdgeColoring(c4, (2, 3, 3, 2)))
+    assert skipping.value == 2 and is_md_coloring(c4, skipping.certificate)[0]
+    monkeypatch.setattr(solver, "md_exact", lambda g: skipping)
+    assert solver.md_feasible(c4, 1).colors == (1, 1, 1, 1)
+    with pytest.raises(RuntimeError, match="solver bug"):
+        solver.md_feasible(c4, 2)
 
 
 class TestBounds:
