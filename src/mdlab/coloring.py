@@ -2,14 +2,13 @@
 one check every certificate passes.
 
 An edge coloring here is total on the canonical edge order and allows adjacent
-edges to share a color; edge (u, v), u < v, has color
-colors[graph.edge_index[(u, v)]].  Colors are never renumbered: md_exact's
-certificates already use exactly the colors 1..md.  The verifier decides
-whether every vertex pair can be separated by deleting one color class, which
-is the property all md values in this package are measured against, and
-returns the pairs that no color separates.  A coloring has no wire format of
-its own: `mdlab md` prints the graph6 text and the color list in its JSON
-lines.
+edges to share a color; edge i of graph.edges has color colors[i].  Colors
+are never renumbered: md_exact's certificates already use exactly the colors
+1..md.  The verifier decides whether every vertex pair can be separated by
+deleting one color class, which is the property all md values in this package
+are measured against, by refining vertex groups on bitmasks, and returns the
+pairs that no color separates.  A coloring has no wire format of its own:
+`mdlab md` prints the graph6 text and the color list in its JSON lines.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from mdlab.graph import Graph, is_connected
+from mdlab.graph import Graph, reach
 
 
 @dataclass(frozen=True)
@@ -43,46 +42,50 @@ class EdgeColoring:
         return len(set(self.colors))
 
 
-def _component_labels(g: Graph, keep_edges) -> list[int]:
-    label = list(range(g.n))
-
-    def find(x: int) -> int:
-        while label[x] != x:
-            label[x] = label[label[x]]
-            x = label[x]
-        return x
-
-    for u, v in keep_edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            label[max(ru, rv)] = min(ru, rv)
-    return [find(x) for x in range(g.n)]
-
-
 def is_md_coloring(
     g: Graph, c: EdgeColoring
 ) -> tuple[bool, tuple[tuple[int, int], ...]]:
     """Decide whether deleting some color class separates every vertex pair.
 
-    For each color the components of the graph minus that color's edges are
-    labeled once, which gives every vertex a vector of labels, one per color.
-    A pair is separated by some color exactly when its two vectors differ, so
-    the unseparated pairs are the pairs inside one group of equal vectors.
-    Returns (ok, unseparated): the sorted pairs (u, v), u < v, that no color
-    separates, empty exactly when ok is true.
+    One pass over the edges builds neighbour bitmasks for g, whose BFS
+    checks connectivity, and for each color.  Each color splits the groups
+    of not yet separated vertices (at first, all of them) by the components
+    of g minus its edges, found by BFS; a group of one is dropped, and no
+    group left ends the loop.  Returns (ok, unseparated): the sorted pairs
+    (u, v), u < v, left in a group.
     """
     if c.graph != g:
         raise ValueError("coloring was built for a different graph")
-    if not is_connected(g):
+    n = g.n
+    adj = [0] * n
+    by_color: dict[int, list[int]] = {}
+    for (u, v), col in zip(g.edges, c.colors):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        own = by_color.get(col)
+        if own is None:
+            own = by_color[col] = [0] * n
+        own[u] |= 1 << v
+        own[v] |= 1 << u
+    everyone = (1 << n) - 1
+    if reach(adj, everyone & -everyone) != everyone:
         raise ValueError("the separation property is defined for connected graphs")
-    labels = [
-        _component_labels(g, [e for e, col in zip(g.edges, c.colors) if col != color])
-        for color in set(c.colors)
-    ]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v, vector in enumerate(zip(*labels)):
-        groups.setdefault(vector, []).append(v)
-    unseparated = tuple(
-        sorted(pair for members in groups.values() for pair in combinations(members, 2))
-    )
-    return not unseparated, unseparated
+    groups = [everyone]
+    for own in by_color.values():
+        if not groups:
+            break
+        rest = [a & ~b for a, b in zip(adj, own)]
+        refined = []
+        for group in groups:
+            while group & (group - 1):
+                part = group & reach(rest, group & -group)
+                if part & (part - 1):
+                    refined.append(part)
+                group ^= part
+        groups = refined
+    unseparated = []
+    for group in groups:
+        members = [v for v in range(n) if group >> v & 1]
+        unseparated.extend(combinations(members, 2))
+    unseparated.sort()
+    return not unseparated, tuple(unseparated)

@@ -54,12 +54,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor lists, sorted, one per vertex."""
+        """Neighbor lists, one per vertex, sorted because the edges are: x's
+        edges (u, x), u < x, come before its edges (x, v)."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -92,24 +93,34 @@ def min_degree(g: Graph) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    """True when g has at most one component (the 0-vertex graph counts as connected).
+    """True when g has at most one component (the 0-vertex graph counts as
+    connected): one `reach` from the lowest vertex gets every vertex."""
+    everyone = (1 << g.n) - 1
+    return reach(neighbor_masks(g), everyone & -everyone) == everyone
 
-    One search from vertex 0 counts the vertices it reaches.
-    """
-    if g.n <= 1:
-        return True
-    adj = g.adjacency
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        for y in adj[stack.pop()]:
-            if not seen[y]:
-                seen[y] = True
-                reached += 1
-                stack.append(y)
-    return reached == g.n
+
+def neighbor_masks(g: Graph) -> list[int]:
+    """Bitmask of each vertex's neighbours."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def reach(masks: list[int], start: int, within: int = -1) -> int:
+    """Vertex bitmask a BFS from `start` reaches over the neighbour bitmasks
+    `masks`, stepping only onto vertices in `within`."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            nxt |= masks[bit.bit_length() - 1]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
 
 
 @dataclass(frozen=True)
@@ -296,20 +307,15 @@ def from_graph6(text: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode as a graph6 line (short form); n must be at most 62."""
+    """Encode as a graph6 line (short form); n must be at most 62.  Edge
+    (u, v) is data bit v(v-1)/2 + u, counted from the top of one int."""
     if g.n > 62:
         raise Graph6Error(f"n={g.n} exceeds the short-form graph6 limit of 62")
-    out = [chr(g.n + 63)]
-    edges = g.edge_index
-    acc = 0
-    nb = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            acc = (acc << 1) | ((u, v) in edges)
-            nb += 1
-            if nb == 6:
-                out.append(chr(acc + 63))
-                acc, nb = 0, 0
-    if nb:
-        out.append(chr((acc << (6 - nb)) + 63))
-    return "".join(out)
+    nchars = (g.n * (g.n - 1) // 2 + 5) // 6
+    top = 6 * nchars - 1
+    bits = 0
+    for u, v in g.edges:
+        bits |= 1 << (top - v * (v - 1) // 2 - u)
+    return chr(g.n + 63) + "".join(
+        chr((bits >> shift & 63) + 63) for shift in range(top - 5, -1, -6)
+    )

@@ -70,7 +70,7 @@ import time
 from dataclasses import dataclass, field
 
 from mdlab.coloring import EdgeColoring, is_md_coloring
-from mdlab.graph import Graph, block_decomposition, is_connected
+from mdlab.graph import Graph, block_decomposition, is_connected, neighbor_masks, reach
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -251,45 +251,23 @@ def _soft_layer(g: Graph) -> tuple[int, ...]:
     smallest eligible id and the stripped vertices are returned in that
     order, so every prefix of the sequence is a valid layer.
     """
-    masks = _neighbor_masks(g)
+    masks = neighbor_masks(g)
     alive = (1 << g.n) - 1
     removed: list[int] = []
     while True:
         for v in range(g.n):
             bit = 1 << v
+            rest = alive ^ bit
             if (
                 alive & bit
                 and (masks[v] & alive).bit_count() >= 2
-                and _spans_connected(masks, alive ^ bit)
+                and reach(masks, rest & -rest, rest) == rest
             ):
                 removed.append(v)
                 alive ^= bit
                 break
         else:
             return tuple(removed)
-
-
-def _neighbor_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _spans_connected(masks: list[int], vertex_set: int) -> bool:
-    """True when the vertices in the bitmask induce a connected subgraph
-    (the empty set counts as connected)."""
-    seen = frontier = vertex_set & -vertex_set
-    while frontier:
-        reach = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            reach |= masks[bit.bit_length() - 1]
-        frontier = reach & vertex_set & ~seen
-        seen |= frontier
-    return seen == vertex_set
 
 
 def md_lower_bound(g: Graph, _block: bool = False) -> tuple[int, str]:
@@ -357,14 +335,14 @@ class _SepTable:
             comp = frontier = todo & -todo
             spread = 0
             while frontier:
-                reach = 0
+                nxt = 0
                 while frontier:
                     bit = frontier & -frontier
                     frontier ^= bit
                     x = bit.bit_length() - 1
-                    reach |= adj[x]
+                    nxt |= adj[x]
                     spread |= 1 << (n * x)
-                frontier = reach & ~comp
+                frontier = nxt & ~comp
                 comp |= frontier
             todo &= ~comp
             joined |= comp * spread
@@ -554,14 +532,11 @@ def _solve_connected(
     upper, upper_name = md_upper_bound(g, _table=table)
     lower, lower_name = md_lower_bound(g, _block=True)
     trail = [(upper_name, upper), (lower_name, lower)]
-    colors = [0] * g.m
     if upper == 1:
-        return 1, colors, trail
+        return 1, [0] * g.m, trail
     class_colors = _search(table, upper, budget)
-    for cls, col in zip(table.classes, class_colors):
-        for e in cls:
-            colors[g.edge_index[e]] = col
-    return len(set(class_colors)), colors, trail
+    color_of = {e: col for cls, col in zip(table.classes, class_colors) for e in cls}
+    return len(set(class_colors)), [color_of[e] for e in g.edges], trail
 
 
 def md_exact(g: Graph, *, node_budget: int = NODE_BUDGET) -> MdResult:
@@ -570,9 +545,10 @@ def md_exact(g: Graph, *, node_budget: int = NODE_BUDGET) -> MdResult:
     Splits into blocks (md adds over blocks, and bridges contribute 1 each),
     solves each non-trivial block by one branch-and-bound, then assembles a
     whole-graph coloring from the block colorings on disjoint palettes, each
-    block edge mapped back through the block's sorted vertex tuple.  Each
-    block takes the next run of colors, so the certificate uses exactly the
-    colors 1..md, which md_feasible relies on.  The assembled certificate,
+    block edge mapped back through the block's sorted vertex tuple; a graph
+    that is one block takes its block colors as they are.  Each block takes
+    the next run of colors, so the certificate uses exactly the colors
+    1..md, which md_feasible relies on.  The assembled certificate,
     the only EdgeColoring a solve builds, is re-verified before returning.
     Spending more than node_budget search nodes (an int >= 1) over all
     blocks raises SearchBudgetExceeded.
@@ -594,14 +570,15 @@ def md_exact(g: Graph, *, node_budget: int = NODE_BUDGET) -> MdResult:
     for bi, (verts, bg) in enumerate(zip(dec.blocks, dec.block_graphs)):
         prefix = f"block{bi}:" if multi else ""
         if bg.n == 2:
-            colors[g.edge_index[verts]] = total + 1
-            trail.append((prefix + "bridge", 1))
-            total += 1
-            continue
-        value, block_colors, block_trail = _solve_connected(bg, budget)
+            value, block_colors, block_trail = 1, [0], [("bridge", 1)]
+        else:
+            value, block_colors, block_trail = _solve_connected(bg, budget)
         trail.extend((prefix + name, val) for name, val in block_trail)
-        for (u, v), c in zip(bg.edges, block_colors):
-            colors[g.edge_index[(verts[u], verts[v])]] = c + total + 1
+        if multi:
+            for (u, v), c in zip(bg.edges, block_colors):
+                colors[g.edge_index[(verts[u], verts[v])]] = c + total + 1
+        else:
+            colors = [c + 1 for c in block_colors]
         total += value
     if multi:
         trail.append(("block-sum", total))

@@ -67,9 +67,10 @@ class TestVerifier:
 
         rng = random.Random(8)
         verdicts = set()
-        for _ in range(100):
-            g = random_connected(rng.randrange(2, 7), 0.6, rng)
-            colors = tuple(rng.randrange(1, 4) for _ in range(g.m))
+        for _ in range(300):
+            g = random_connected(rng.randrange(2, 11), 0.6, rng)
+            palette = rng.randrange(1, 6)
+            colors = tuple(rng.randrange(1, palette + 1) for _ in range(g.m))
             comp_of = [
                 component_labels(g.n, [e for e, c in zip(g.edges, colors) if c != color])
                 for color in set(colors)
@@ -80,7 +81,8 @@ class TestVerifier:
                 if all(label[u] == label[v] for label in comp_of)
             )
             assert is_md_coloring(g, EdgeColoring(g, colors)) == (not want, want)
-            verdicts.add(not want)
+            if len(set(colors)) > 1:  # one color always passes
+                verdicts.add(not want)
         assert verdicts == {True, False}
 
     def test_graph_mismatch_rejected(self):
@@ -92,9 +94,13 @@ class TestVerifier:
         with pytest.raises(ValueError):
             EdgeColoring(k(3), (True, True, True))
 
-    def test_single_vertex_vacuous(self):
-        g = graph(1, [])
-        assert is_md_coloring(g, EdgeColoring(g, (1,) * g.m)) == (True, ())
+    def test_disconnected_graph_rejected_and_tiny_graphs_vacuous(self):
+        for g in (graph(2, []), graph(4, [(0, 1), (2, 3)]), graph(3, [(0, 1)])):
+            with pytest.raises(ValueError, match="connected graphs"):
+                is_md_coloring(g, EdgeColoring(g, (1,) * g.m))
+        for n in (0, 1):
+            g = graph(n, [])
+            assert is_md_coloring(g, EdgeColoring(g, ())) == (True, ())
 
 
 class TestC4Classification:

@@ -14,6 +14,7 @@ from mdlab.graph import (
     is_connected,
     min_degree,
     odd_girth,
+    reach,
     to_graph6,
 )
 
@@ -75,6 +76,18 @@ class TestCanonicalForm:
         assert len(g.adjacency[1]) == 3
         assert g.adjacency[3] == (1,)
 
+    def test_adjacency_is_sorted_and_matches_edges(self):
+        # Neighbor lists come out sorted without a sort, because the edge
+        # tuple is sorted; each list is exactly the vertex's edge ends.
+        rng = random.Random(11)
+        for _ in range(100):
+            g = random_graph(rng.randrange(0, 12), rng.random(), rng)
+            adj = g.adjacency
+            assert type(adj) is tuple and len(adj) == g.n
+            for x, nbrs in enumerate(adj):
+                assert type(nbrs) is tuple
+                assert list(nbrs) == sorted({v for e in g.edges if x in e for v in e} - {x})
+
 
 class TestGraph6:
     # Hand-decoded per the bit layout: length byte n+63, then the upper
@@ -112,6 +125,30 @@ class TestGraph6:
     def test_round_trip_boundary_size(self):
         g = cycle(62)
         assert from_graph6(to_graph6(g)) == g
+
+    def test_encode_matches_the_pair_loop_encoder(self):
+        # The pair-by-pair reference: the upper triangle column by column,
+        # six bits to a character, the last one padded with zeros.  Every n
+        # up to 62 covers every padding length.
+        def reference(g):
+            edges = set(g.edges)
+            out, acc, nb = [chr(g.n + 63)], 0, 0
+            for v in range(1, g.n):
+                for u in range(v):
+                    acc = (acc << 1) | ((u, v) in edges)
+                    nb += 1
+                    if nb == 6:
+                        out.append(chr(acc + 63))
+                        acc, nb = 0, 0
+            if nb:
+                out.append(chr((acc << (6 - nb)) + 63))
+            return "".join(out)
+
+        rng = random.Random(62)
+        for n in range(63):
+            for p in (0, 0.1, 0.5, 1):
+                g = random_graph(n, p, rng)
+                assert to_graph6(g) == reference(g), (n, p)
 
     def test_encode_rejects_large(self):
         with pytest.raises(Graph6Error):
@@ -178,6 +215,33 @@ class TestConnectivity:
                 assert is_connected(g) == (component_count(g) <= 1), (n, g.edges)
                 checked += 1
         assert checked == 1100
+
+    def test_reach_is_a_component_of_the_induced_subgraph(self):
+        # From one vertex of S, stepping only onto S, reach finds that
+        # vertex's component of the subgraph S induces; S = every vertex by
+        # default.  The oracle is a plain union-find on the kept edges.
+        def component(g, start, within):
+            parent = list(range(g.n))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for u, v in g.edges:
+                if within >> u & 1 and within >> v & 1:
+                    parent[find(u)] = find(v)
+            return sum(1 << x for x in range(g.n) if within >> x & 1 and find(x) == find(start))
+
+        rng = random.Random(5)
+        for _ in range(300):
+            g = random_graph(rng.randrange(1, 9), rng.random(), rng)
+            masks = [sum(1 << y for y in nbrs) for nbrs in g.adjacency]
+            everyone = (1 << g.n) - 1
+            within = rng.randrange(1, everyone + 1)
+            start = rng.choice([v for v in range(g.n) if within >> v & 1])
+            assert reach(masks, 1 << start, within) == component(g, start, within)
+            assert reach(masks, 1 << start) == component(g, start, everyone)
 
 
 class TestBlocks:
