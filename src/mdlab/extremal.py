@@ -25,7 +25,7 @@ from typing import Iterator
 # md_exact is looked up on the module at each call, so a wrapper installed on
 # solver.md_exact sees every census solve.
 from mdlab import solver
-from mdlab.graph import Graph, from_graph6, graph, to_graph6
+from mdlab.graph import Graph, graph, reach, to_graph6
 
 ENUMERATION_CAP = 8
 
@@ -195,15 +195,9 @@ def _components_without(adj: list[int], w: int) -> list[int]:
     left = (1 << len(adj)) - 1 & ~(1 << w)
     components = []
     while left:
-        seen = frontier = left & -left
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & left & ~seen
-            seen |= new
-            frontier |= new
-        components.append(seen)
-        left &= ~seen
+        part = reach(adj, left & -left, left)
+        components.append(part)
+        left ^= part
     return components
 
 
@@ -299,8 +293,8 @@ def _enumerate(n: int) -> Iterator[Graph]:
 # md census over the enumeration
 
 
-def _md_of_graph6(g6: str) -> int:
-    return solver.md_exact(from_graph6(g6)).value
+def _md_value(g: Graph) -> int:
+    return solver.md_exact(g).value
 
 
 # Keyed by n <= ENUMERATION_CAP, so it holds at most one census per order.
@@ -312,25 +306,25 @@ def md_census(n: int, jobs: int = 1) -> tuple[tuple[str, int, int], ...]:
     """(graph6, edge count, md) for every connected n-vertex graph.
 
     The graphs are enumerate_connected(n), in its order, and the rows are
-    cached per n.  jobs (an int >= 1) is the number of worker processes;
-    every solve runs on md_exact's default node budget.
+    cached per n.  One function, _md_value, solves every graph on md_exact's
+    default node budget: mapped in this process for jobs = 1, and for jobs > 1
+    by that many worker processes, which receive the Graphs themselves.
     """
     if type(jobs) is not int or jobs < 1:  # bools refused too
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     if n in _CENSUS_CACHE:
         return _CENSUS_CACHE[n]
     pool = list(enumerate_connected(n))
-    g6s = [to_graph6(gg) for gg in pool]
     if jobs > 1:
         # Imported here so that importing this module, and every serial
         # census, skips loading concurrent.futures and multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            values = list(ex.map(_md_of_graph6, g6s, chunksize=32))
+            values = list(ex.map(_md_value, pool, chunksize=32))
     else:
-        values = [solver.md_exact(gg).value for gg in pool]
-    rows = tuple((g6, gg.m, v) for g6, gg, v in zip(g6s, pool, values))
+        values = list(map(_md_value, pool))
+    rows = tuple((to_graph6(gg), gg.m, v) for gg, v in zip(pool, values))
     _CENSUS_CACHE[n] = rows
     return rows
 

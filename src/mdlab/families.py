@@ -5,8 +5,10 @@ deterministic: same parameters, same graph, same vertex ids.
 
 The md-extremal families:
 
-* sparsest_md_one(n): the sparsest known connected graphs with md = 1, built
-  from fans with subdivided inner spokes; ceil(3(n-1)/2) edges.
+* sparsest_md_one(n): the sparsest known connected graphs with md = 1;
+  ceil(3(n-1)/2) edges.  From n = 5 on, a fan with hub 0 on the path 1..p,
+  p = n//2 + 1, whose inner spokes run through fresh vertices (for even n
+  the spoke to p - 1 stays intact too).
 * threshold_witness(n, r): n vertices, mu(n, r) edges, md exactly r; realizes
   the lower density threshold g(n, r) with equality.
 * clique_lollipop / near_clique_lollipop: a clique-like block plus a pendant
@@ -36,70 +38,27 @@ def cycle_graph(n: int) -> FamilyGraph:
     return FamilyGraph(graph(n, [(i, (i + 1) % n) for i in range(n)]))
 
 
-def complete_graph(n: int) -> FamilyGraph:
-    _need(n >= 1, f"complete graph needs n >= 1, got {n}")
-    return FamilyGraph(
-        graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    )
-
-
-def complete_minus_edge(n: int) -> FamilyGraph:
-    """K_n minus the edge (0, 1); connected for n >= 3."""
-    _need(n >= 3, f"complete-minus-edge needs n >= 3, got {n}")
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (0, 1)
-    ]
-    return FamilyGraph(graph(n, edges))
-
-
-def subdivided_fan(n: int) -> FamilyGraph:
-    """Fan on n path vertices with every inner spoke subdivided.
-
-    The hub is vertex 0 and path vertex p_i is vertex i.  The two end spokes
-    hub-p1 and hub-pn stay intact; the spoke to p_i (1 < i < n) runs through
-    a fresh vertex.  2n-1 vertices, 3(n-1) edges.
-    """
-    _need(n >= 3, f"subdivided fan needs n >= 3, got {n}")
-    edges = [(i, i + 1) for i in range(1, n)]
-    edges += [(0, 1), (0, n)]
-    nxt = n + 1
-    for i in range(2, n):
-        edges += [(0, nxt), (nxt, i)]
-        nxt += 1
-    return FamilyGraph(graph(nxt, edges))
-
-
-def near_subdivided_fan(n: int) -> FamilyGraph:
-    """Fan on n path vertices with spokes to p2..p_{n-2} subdivided.
-
-    Numbered as in subdivided_fan.  Spokes to p1, p_{n-1} and p_n stay
-    intact, leaving one triangle at the far end.  2n-2 vertices, 3n-4 edges.
-    """
-    _need(n >= 4, f"near-subdivided fan needs n >= 4, got {n}")
-    edges = [(i, i + 1) for i in range(1, n)]
-    edges += [(0, 1), (0, n - 1), (0, n)]
-    nxt = n + 1
-    for i in range(2, n - 1):
-        edges += [(0, nxt), (nxt, i)]
-        nxt += 1
-    return FamilyGraph(graph(nxt, edges))
-
-
 def sparsest_md_one(n: int) -> FamilyGraph:
     """The sparsest family with md = 1: ceil(3(n-1)/2) edges for n >= 3.
 
-    Small orders are complete graphs (K_4 loses an edge); from five vertices
-    on, fans with subdivided spokes take over, odd orders keeping both end
-    spokes and even orders keeping a triangle at one end.
+    Up to three vertices this is K_n, and on four it is K_4 minus (0, 1).
+    From five vertices on it is a fan: hub 0 on the path 1..p, with
+    p = n//2 + 1.  The spokes to 1 and to p stay intact, and for even n so
+    does the spoke to p - 1, which leaves one triangle at the far end.  Each
+    other spoke runs through a fresh vertex, numbered from p + 1 in path
+    order.
     """
     _need(n >= 1, f"sparsest-md-one needs n >= 1, got {n}")
-    if n <= 3:
-        return complete_graph(n)
-    if n == 4:
-        return complete_minus_edge(4)
-    if n % 2 == 1:
-        return subdivided_fan((n + 1) // 2)
-    return near_subdivided_fan((n + 2) // 2)
+    if n <= 4:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return FamilyGraph(graph(n, edges[1:] if n == 4 else edges))  # K_4 drops (0, 1)
+    p = n // 2 + 1
+    subdivided = range(2, p - 1 if n % 2 == 0 else p)
+    edges = [(i, i + 1) for i in range(1, p)]
+    edges += [(0, i) for i in range(1, p + 1) if i not in subdivided]
+    for fresh, i in enumerate(subdivided, start=p + 1):
+        edges += [(0, fresh), (fresh, i)]
+    return FamilyGraph(graph(n, edges))
 
 
 def _threshold_witness_parts(
@@ -109,18 +68,20 @@ def _threshold_witness_parts(
 
     The path is welded between two vertices of a sparsest_md_one core on k
     vertices: 0 and 1 when k <= 4, else the two ends of the fan's path, 1 and
-    (k + 2) // 2.
+    (k + 2) // 2.  In the cycle case the path is the n-cycle's walk from 0,
+    and there is no core.
     """
     _need(n >= 6, f"threshold witness needs n >= 6, got {n}")
     _need(3 <= r <= n // 2, f"threshold witness needs 3 <= r <= n//2, got r={r}")
     if n % 2 == 0 and r == n // 2:
-        return cycle_graph(n).graph, [], ()
-    k, t = (n - 2 * r + 1, 2 * r) if n % 2 == 0 else (n - 2 * r + 2, 2 * r - 1)
-    core = sparsest_md_one(k).graph
-    u, w = (0, 1) if k <= 4 else (1, (k + 2) // 2)
-    walk = [u, *range(k, k + t - 1), w]
+        walk, core = [*range(n), 0], ()
+    else:
+        k, t = (n - 2 * r + 1, 2 * r) if n % 2 == 0 else (n - 2 * r + 2, 2 * r - 1)
+        core = sparsest_md_one(k).graph.edges
+        u, w = (0, 1) if k <= 4 else (1, (k + 2) // 2)
+        walk = [u, *range(k, k + t - 1), w]
     path_edges = [(min(a, b), max(a, b)) for a, b in zip(walk, walk[1:])]
-    return graph(k + t - 1, list(core.edges) + path_edges), path_edges, core.edges
+    return graph(n, [*core, *path_edges]), path_edges, core
 
 
 def threshold_witness(n: int, r: int) -> FamilyGraph:
@@ -136,26 +97,9 @@ def threshold_witness_coloring(n: int, r: int) -> EdgeColoring:
     """The canonical r-coloring of threshold_witness(n, r): path edges cycle
     through 1..r; core edges take 1 for even n and r for odd n."""
     g, path_edges, core_edges = _threshold_witness_parts(n, r)
-    if not path_edges:  # the cycle case
-        return cycle_md_coloring(n)
-    by_edge: dict[tuple[int, int], int] = {}
-    core_color = 1 if n % 2 == 0 else r
-    for e in core_edges:
-        by_edge[e] = core_color
-    for i, e in enumerate(path_edges, start=1):
-        by_edge[e] = (i - 1) % r + 1
-    return EdgeColoring(g, tuple(by_edge[e] for e in g.edges))
-
-
-def cycle_md_coloring(n: int) -> EdgeColoring:
-    """floor(n/2)-coloring of C_n: walking the cycle, colors repeat 1..k."""
-    _need(n >= 3, f"cycle coloring needs n >= 3, got {n}")
-    g = cycle_graph(n).graph
-    k = n // 2
-    by_edge = {}
-    for i in range(1, n + 1):
-        a, b = i - 1, i % n
-        by_edge[(min(a, b), max(a, b))] = (i - 1) % k + 1
+    by_edge = dict.fromkeys(core_edges, 1 if n % 2 == 0 else r)
+    for i, e in enumerate(path_edges):
+        by_edge[e] = i % r + 1
     return EdgeColoring(g, tuple(by_edge[e] for e in g.edges))
 
 
@@ -169,12 +113,8 @@ def clique_lollipop(n: int, tail: int) -> FamilyGraph:
     _need(n - tail >= 1, f"clique lollipop needs n - tail >= 1, got n={n}, tail={tail}")
     b = n - tail
     edges = [(i, j) for i in range(b) for j in range(i + 1, b)]
-    prev = 0
-    for t in range(tail):
-        nxt = b + t
-        edges.append((min(prev, nxt), max(prev, nxt)))
-        prev = nxt
-    return FamilyGraph(graph(n, edges))
+    walk = [0, *range(b, n)]
+    return FamilyGraph(graph(n, edges + list(zip(walk, walk[1:]))))
 
 
 def near_clique_lollipop(n: int, tail: int) -> FamilyGraph:
@@ -189,9 +129,5 @@ def near_clique_lollipop(n: int, tail: int) -> FamilyGraph:
     _need(b >= 3, f"near-clique lollipop needs n - tail >= 3, got n={n}, tail={tail}")
     edges = [(i, j) for i in range(b - 1) for j in range(i + 1, b - 1)]
     edges += [(0, b - 1), (1, b - 1)]
-    prev = 0
-    for t in range(tail):
-        nxt = b + t
-        edges.append((min(prev, nxt), max(prev, nxt)))
-        prev = nxt
-    return FamilyGraph(graph(n, edges))
+    walk = [0, *range(b, n)]
+    return FamilyGraph(graph(n, edges + list(zip(walk, walk[1:]))))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class Graph6Error(ValueError):
@@ -52,19 +51,19 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists, one per vertex, sorted because the edges are: x's
-        edges (u, x), u < x, come before its edges (x, v)."""
+        edges (u, x), u < x, come before its edges (x, v); built per read."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(map(tuple, nbrs))
 
-    @cached_property
+    @property
     def edge_index(self) -> dict[tuple[int, int], int]:
-        """Edge -> position in the canonical edge order."""
+        """Edge -> position in the canonical edge order; built per read."""
         return {e: i for i, e in enumerate(self.edges)}
 
     def __repr__(self) -> str:  # compact, the edge list can be long
@@ -233,6 +232,7 @@ def odd_girth(g: Graph) -> int | float:
     cycle.
     """
     best = math.inf
+    adj = g.adjacency
     for s in range(g.n):
         dist = [-1] * g.n
         dist[s] = 0
@@ -241,7 +241,7 @@ def odd_girth(g: Graph) -> int | float:
         while head < len(queue):
             x = queue[head]
             head += 1
-            for y in g.adjacency[x]:
+            for y in adj[x]:
                 if dist[y] == -1:
                     dist[y] = dist[x] + 1
                     queue.append(y)

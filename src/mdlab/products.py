@@ -83,6 +83,7 @@ def cartesian_md_coloring(
     offset = max(cg.colors, default=0)
     prod = product(g, h, ProductKind.CARTESIAN)
     hn = h.n
+    g_index, h_index = g.edge_index, h.edge_index
     colors = []
     # Product edge (a, b) has a < b, so its factor edge is already ordered:
     # ua < ub on a G-fiber and va < vb on an H-fiber.
@@ -90,9 +91,9 @@ def cartesian_md_coloring(
         ua, va = divmod(a, hn)
         ub, vb = divmod(b, hn)
         if va == vb:
-            colors.append(cg.colors[g.edge_index[(ua, ub)]])
+            colors.append(cg.colors[g_index[(ua, ub)]])
         else:
-            colors.append(ch.colors[h.edge_index[(va, vb)]] + offset)
+            colors.append(ch.colors[h_index[(va, vb)]] + offset)
     return EdgeColoring(prod, tuple(colors))
 
 

@@ -14,9 +14,9 @@ The upper bound is the least of four closed-form rules: n - 1
 (vertex-bound), n/2 for a 2-connected block (half-order), the number of
 forced-monochromatic edge classes (mono-classes), and the vertex bound of the
 graph left after stripping a soft layer of non-cut vertices (soft-layer).  No
-bound solves anything, so md_exact never calls itself.  The lower bound is
-closed-form too (one, tree, unicyclic-half) and is reported in the bound
-trail only.
+bound solves anything, so md_exact never calls itself.  Each block's trail
+entry is its upper bound; md_lower_bound is a standalone check that no solve
+calls (see its docstring).
 
 Each block is class-closed once: the block's _SepTable is built first and
 handed to md_upper_bound, which reads the mono-classes count from it and,
@@ -58,7 +58,7 @@ md_oracle is the independent cross-check: it enumerates raw set partitions of
 the edge set, no quotient, no blocks, and prunes only by counting parts, so it
 shares no pruning with md_exact.
 
-Each layer (block_decomposition, mono_classes, md_upper_bound, md_lower_bound,
+Each layer a solve uses (block_decomposition, mono_classes, md_upper_bound,
 is_md_coloring, md_exact) is called through this module's globals, so a
 wrapper installed on the module attribute, as the benchmark's tracer does,
 sees every call, md_feasible's solve included.
@@ -270,14 +270,15 @@ def _soft_layer(g: Graph) -> tuple[int, ...]:
             return tuple(removed)
 
 
-def md_lower_bound(g: Graph, _block: bool = False) -> tuple[int, str]:
+def md_lower_bound(g: Graph) -> tuple[int, str]:
     """Largest closed-form lower bound with the name of the rule that won.
 
-    md_exact passes `_block=True` for a block of its decomposition, which
-    is connected already, so the connectivity search is skipped; the bound
-    is the same.  Called alone, a disconnected graph raises ValueError.
+    Standalone only: md_exact does not call it, since on a block of three or
+    more vertices the rule is `one`, or `unicyclic-half` on a cycle, which
+    equals the half-order upper bound already in the trail.  A disconnected
+    graph raises ValueError.
     """
-    if g.n < 2 or not (_block or is_connected(g)):
+    if g.n < 2 or not is_connected(g):
         raise ValueError("bounds are defined for connected graphs on >= 2 vertices")
     best, name = 1, "one"
     if g.m == g.n - 1 and g.n - 1 > best:
@@ -523,20 +524,16 @@ def md_feasible(g: Graph, k: int) -> EdgeColoring | None:
     return coloring
 
 
-def _solve_connected(
-    g: Graph, budget: _Budget
-) -> tuple[int, list[int], list[tuple[str, int]]]:
+def _solve_connected(g: Graph, budget: _Budget) -> tuple[int, list[int], tuple[str, int]]:
     """md of a 2-connected block on >= 3 vertices, the 0-based color of each
-    of its edges in edge order, and its bound trail."""
+    of its edges in edge order, and its trail entry, the upper bound."""
     table = _SepTable(g)
     upper, upper_name = md_upper_bound(g, _table=table)
-    lower, lower_name = md_lower_bound(g, _block=True)
-    trail = [(upper_name, upper), (lower_name, lower)]
     if upper == 1:
-        return 1, [0] * g.m, trail
+        return 1, [0] * g.m, (upper_name, upper)
     class_colors = _search(table, upper, budget)
     color_of = {e: col for cls, col in zip(table.classes, class_colors) for e in cls}
-    return len(set(class_colors)), [color_of[e] for e in g.edges], trail
+    return len(set(class_colors)), [color_of[e] for e in g.edges], (upper_name, upper)
 
 
 def md_exact(g: Graph, *, node_budget: int = NODE_BUDGET) -> MdResult:
@@ -564,19 +561,20 @@ def md_exact(g: Graph, *, node_budget: int = NODE_BUDGET) -> MdResult:
         )
     dec = block_decomposition(g)
     multi = len(dec.blocks) > 1
+    index = g.edge_index if multi else None
     total = 0
     trail: list[tuple[str, int]] = []
     colors = [0] * g.m
     for bi, (verts, bg) in enumerate(zip(dec.blocks, dec.block_graphs)):
         prefix = f"block{bi}:" if multi else ""
         if bg.n == 2:
-            value, block_colors, block_trail = 1, [0], [("bridge", 1)]
+            value, block_colors, (name, bound) = 1, [0], ("bridge", 1)
         else:
-            value, block_colors, block_trail = _solve_connected(bg, budget)
-        trail.extend((prefix + name, val) for name, val in block_trail)
+            value, block_colors, (name, bound) = _solve_connected(bg, budget)
+        trail.append((prefix + name, bound))
         if multi:
             for (u, v), c in zip(bg.edges, block_colors):
-                colors[g.edge_index[(verts[u], verts[v])]] = c + total + 1
+                colors[index[(verts[u], verts[v])]] = c + total + 1
         else:
             colors = [c + 1 for c in block_colors]
         total += value

@@ -23,8 +23,8 @@ def test_md_prints_one_json_line_per_graph(capsys):
         coloring = EdgeColoring(g, tuple(row["colors"]))
         assert coloring.k == row["value"]
         assert is_md_coloring(g, coloring)[0]
-        assert all(isinstance(name, str) and isinstance(value, int)
-                   for name, value in row["bounds_trail"])
+    # Each block's trail entry is its upper bound alone.
+    assert [row["bounds_trail"] for row in rows] == [[["half-order", 1]], [["half-order", 2]]]
     assert rows[1]["nodes"] > 0
 
 

@@ -134,11 +134,12 @@ class TestC4Classification:
 
     def test_opposite_edges_same_color_in_any_passing_coloring(self):
         g = cycle(4)
+        index = g.edge_index
         for a, b, c, d in [(1, 2, 1, 2), (1, 1, 1, 1)]:
             col = cycle_coloring(4, [a, b, c, d])
             ok, _ = is_md_coloring(g, col)
             assert ok
-            assert col.colors[g.edge_index[(0, 1)]] == col.colors[g.edge_index[(2, 3)]]
+            assert col.colors[index[(0, 1)]] == col.colors[index[(2, 3)]]
 
 
 class TestRestriction:
@@ -153,6 +154,7 @@ class TestRestriction:
             ok, _ = is_md_coloring(g, c)
             if not ok:
                 continue
+            index = g.edge_index
             for _ in range(4):
                 keep_vertices = sorted(
                     rng.sample(range(g.n), rng.randrange(2, g.n + 1))
@@ -170,7 +172,7 @@ class TestRestriction:
                 sub_col = EdgeColoring(
                     sub,
                     tuple(
-                        c.colors[g.edge_index[(inv[u], inv[v])]] for u, v in sub.edges
+                        c.colors[index[(inv[u], inv[v])]] for u, v in sub.edges
                     ),
                 )
                 ok_sub, _ = is_md_coloring(sub, sub_col)

@@ -294,8 +294,9 @@ def connected_without(g, v):
     if not rest:
         return True
     seen, todo = {rest[0]}, [rest[0]]
+    adj = g.adjacency
     while todo:
-        for y in g.adjacency[todo.pop()]:
+        for y in adj[todo.pop()]:
             if y != v and y not in seen:
                 seen.add(y)
                 todo.append(y)
@@ -369,13 +370,14 @@ class TestOddGirth:
             # BFS 2-colouring of each component; an edge inside one colour
             # class closes an odd cycle.
             color = [-1] * g.n
+            adj = g.adjacency
             for s in range(g.n):
                 if color[s] != -1:
                     continue
                 color[s] = 0
                 queue = [s]
                 for x in queue:
-                    for y in g.adjacency[x]:
+                    for y in adj[x]:
                         if color[y] == -1:
                             color[y] = color[x] ^ 1
                             queue.append(y)

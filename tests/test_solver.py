@@ -89,7 +89,8 @@ HUB_AND_C4 = graph(
 
 def assert_classes_sound(g):
     """Every separating coloring of g is constant on each mono class."""
-    classes = [[g.edge_index[e] for e in cls] for cls in mono_classes(g)]
+    index = g.edge_index
+    classes = [[index[e] for e in cls] for cls in mono_classes(g)]
     for a in restricted_growth_strings(g.m):
         if all(len({a[i] for i in cls}) == 1 for cls in classes):
             continue
@@ -101,6 +102,7 @@ def naive_mono_classes(g):
     """Reference closure: a plain union over the edges of every triangle and
     the opposite edges of every 4-cycle, classes by least edge index."""
     parent = list(range(g.m))
+    index = g.edge_index
 
     def find(x):
         while parent[x] != x:
@@ -108,7 +110,7 @@ def naive_mono_classes(g):
         return x
 
     def union(*edges):
-        ids = [g.edge_index[tuple(sorted(e))] for e in edges]
+        ids = [index[tuple(sorted(e))] for e in edges]
         for i in ids[1:]:
             parent[find(i)] = find(ids[0])
 
@@ -217,8 +219,10 @@ class TestExactAgainstOracle:
 # sha256 over one line per connected graph on 1-7 vertices (996 graphs), in
 # enumerate_connected order: graph6, md, certificate colors, bound trail and
 # search nodes.  Only a change meant to move a certificate, a trail or a node
-# count may re-pin it, and it says why.
-SOLVE_DIGEST_N7 = "e3d4763d45b891ec70855b20f0c0b6d5f8d5819b27f21d11c6d3574e8995d7f7"
+# count may re-pin it, and it says why.  Last re-pinned when md_exact stopped
+# putting md_lower_bound's entry (one, tree or unicyclic-half) in each block's
+# trail: the digest equals the previous one's solves with those entries dropped.
+SOLVE_DIGEST_N7 = "cf1c67c54780769e88d150736af066068cef8365d5ee2e54eeaddb536b654bc4"
 
 
 def test_census_solves_match_the_pinned_digest():
@@ -247,6 +251,17 @@ def test_feasible_refuses_a_certificate_that_skips_a_color(monkeypatch):
     assert solver.md_feasible(c4, 1).colors == (1, 1, 1, 1)
     with pytest.raises(RuntimeError, match="solver bug"):
         solver.md_feasible(c4, 2)
+
+
+def test_solves_and_checks_keep_nothing_on_the_graph():
+    # adjacency and edge_index are built per read, so neither a solve of one
+    # block or of several nor a certificate check leaves a view on the graph.
+    c5, pendant, c4 = cycle(5), graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]), cycle(4)
+    assert md_exact(c5).value == 2
+    assert md_exact(pendant).value == 3
+    assert is_md_coloring(c4, EdgeColoring(c4, (1, 2, 2, 1)))[0]
+    for g in (c5, pendant, c4):
+        assert set(vars(g)) == {"n", "edges"}, vars(g)
 
 
 class TestBounds:
@@ -288,10 +303,6 @@ class TestOnePassPerBlock:
         for bg in census_blocks():
             assert md_upper_bound(bg, _table=solver._SepTable(bg)) == md_upper_bound(bg), bg.edges
 
-    def test_block_lower_bound_skips_only_the_connectivity_search(self):
-        for bg in census_blocks():
-            assert md_lower_bound(bg, _block=True) == md_lower_bound(bg), bg.edges
-
 
 class TestSoftLayer:
     def test_k4_reduces_to_k2(self):
@@ -307,30 +318,31 @@ class TestSoftLayer:
         # Recheck the definition against the original graph step by step: a
         # vertex is eligible when it is alive, has >= 2 alive neighbors, and
         # the alive set without it stays connected.
-        def connected(g, vertex_set):
+        def connected(adj, vertex_set):
             if not vertex_set:
                 return True
             start = min(vertex_set)
             seen, todo = {start}, [start]
             while todo:
-                for y in g.adjacency[todo.pop()]:
+                for y in adj[todo.pop()]:
                     if y in vertex_set and y not in seen:
                         seen.add(y)
                         todo.append(y)
             return seen == vertex_set
 
-        def eligible(g, alive, v):
-            alive_nbrs = sum(1 for y in g.adjacency[v] if y in alive)
-            return alive_nbrs >= 2 and connected(g, alive - {v})
+        def eligible(adj, alive, v):
+            alive_nbrs = sum(1 for y in adj[v] if y in alive)
+            return alive_nbrs >= 2 and connected(adj, alive - {v})
 
         rng = random.Random(77)
         for _ in range(25):
             g = random_connected(rng.randrange(3, 9), rng.uniform(0.3, 0.9), rng)
             alive = set(range(g.n))
+            adj = g.adjacency
             for v in solver._soft_layer(g):
-                assert v == min(u for u in alive if eligible(g, alive, u))
+                assert v == min(u for u in alive if eligible(adj, alive, u))
                 alive.remove(v)
-            assert not any(eligible(g, alive, u) for u in alive)
+            assert not any(eligible(adj, alive, u) for u in alive)
 
 
 class TestSoftLayerBound:
@@ -369,10 +381,10 @@ class TestPackingCut:
             assert all(pack[i] <= t - i for i in range(t)), (g.edges, pack)
             result = md_exact(g)
             assert pack[0] >= result.value, (g.edges, pack)
-            first = {}
+            first, index = {}, g.edge_index
             for i, c in enumerate(order):
                 for e in table.classes[c]:
-                    first.setdefault(result.certificate.colors[g.edge_index[e]], i)
+                    first.setdefault(result.certificate.colors[index[e]], i)
             for i in range(t):
                 inside = sum(1 for start in first.values() if start >= i)
                 assert inside <= pack[i], (g.edges, i, pack)
@@ -495,7 +507,9 @@ class TestLayerHooks:
         # layer leaves a graph with a cycle, and its bound solves nothing either.
         assert solver.md_exact(HUB_AND_C4).value == 2
         assert calls["md_exact"] == 1
-        assert all(calls[name] > 0 for name in self.LAYERS), calls
+        # md_lower_bound is standalone: a solve's trail holds upper bounds only.
+        assert calls["md_lower_bound"] == 0, calls
+        assert all(calls[name] > 0 for name in self.LAYERS if name != "md_lower_bound"), calls
         # md_feasible merges the certificate of a solve made through the module.
         assert solver.md_feasible(HUB_AND_C4, 2).k == 2
         assert calls["md_exact"] == 2
