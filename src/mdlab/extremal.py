@@ -49,11 +49,10 @@ def g(n: int, r: int) -> int:
         return math.ceil(3 * (n - 1) / 2) - 1
     if r >= n // 2 + 1:
         return n - 1
-    if n % 2 == 1 and n >= 7:
+    # Here 3 <= r <= n//2, so n >= 6 and the parity picks the formula.
+    if n % 2 == 1:
         return (3 * n + 1) // 2 - r
-    if n % 2 == 0 and n >= 6:
-        return 3 * n // 2 - r
-    raise ValueError(f"no closed-form branch covers n={n}, r={r}")
+    return 3 * n // 2 - r
 
 
 def mu(n: int, r: int) -> int:
@@ -293,8 +292,8 @@ def _enumerate(n: int) -> Iterator[Graph]:
 # md census over the enumeration
 
 
-def _md_value(g: Graph) -> int:
-    return solver.md_exact(g).value
+def _census_row(g: Graph) -> tuple[str, int, int]:
+    return to_graph6(g), g.m, solver.md_exact(g).value
 
 
 # Keyed by n <= ENUMERATION_CAP, so it holds at most one census per order.
@@ -306,25 +305,24 @@ def md_census(n: int, jobs: int = 1) -> tuple[tuple[str, int, int], ...]:
     """(graph6, edge count, md) for every connected n-vertex graph.
 
     The graphs are enumerate_connected(n), in its order, and the rows are
-    cached per n.  One function, _md_value, solves every graph on md_exact's
-    default node budget: mapped in this process for jobs = 1, and for jobs > 1
-    by that many worker processes, which receive the Graphs themselves.
+    cached per n.  _census_row maps each graph to its row as the enumeration
+    yields it, on md_exact's default node budget: in this process for
+    jobs = 1, and for jobs > 1 by that many workers, which receive Graphs.
     """
     if type(jobs) is not int or jobs < 1:  # bools refused too
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     if n in _CENSUS_CACHE:
         return _CENSUS_CACHE[n]
-    pool = list(enumerate_connected(n))
+    graphs = enumerate_connected(n)
     if jobs > 1:
         # Imported here so that importing this module, and every serial
         # census, skips loading concurrent.futures and multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            values = list(ex.map(_md_value, pool, chunksize=32))
+            rows = tuple(ex.map(_census_row, graphs, chunksize=32))
     else:
-        values = list(map(_md_value, pool))
-    rows = tuple((to_graph6(gg), gg.m, v) for gg, v in zip(pool, values))
+        rows = tuple(map(_census_row, graphs))
     _CENSUS_CACHE[n] = rows
     return rows
 

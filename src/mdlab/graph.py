@@ -262,7 +262,8 @@ def from_graph6(text: str) -> Graph:
 
     The format is one length byte (n + 63) followed by the upper triangle of
     the adjacency matrix, column by column, packed into 6-bit groups, each
-    group + 63.  Any nonzero padding bit is an error.
+    group + 63.  The body decodes into one int, as to_graph6 encodes it.
+    Any nonzero padding bit is an error.
     """
     if not isinstance(text, str):
         raise Graph6Error(f"graph6 text must be a string, got {text!r}")
@@ -271,9 +272,7 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error("empty graph6 string")
     first = ord(s[0])
     if first == 126:
-        raise Graph6Error(
-            "offset 0: long-form graph6 (n > 62) is not supported"
-        )
+        raise Graph6Error("offset 0: long-form graph6 (n > 62) is not supported")
     if not 63 <= first <= 125:
         raise Graph6Error(f"offset 0: invalid length byte {s[0]!r}")
     n = first - 63
@@ -281,29 +280,20 @@ def from_graph6(text: str) -> Graph:
     nchars = (nbits + 5) // 6
     body = s[1:]
     if len(body) != nchars:
-        raise Graph6Error(
-            f"expected {nchars} content characters for n={n}, got {len(body)}"
-        )
-    bits: list[int] = []
+        raise Graph6Error(f"expected {nchars} content characters for n={n}, got {len(body)}")
+    bits = 0
     for i, ch in enumerate(body):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise Graph6Error(f"offset {i + 1}: character {ch!r} out of range")
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
-    if any(bits[nbits:]):
-        bad = nbits // 6
+        bits = bits << 6 | val
+    if bits & ((1 << (6 * nchars - nbits)) - 1):
         raise Graph6Error(
-            f"offset {bad + 1}: nonzero padding bits after the {nbits} data bits"
+            f"offset {nbits // 6 + 1}: nonzero padding bits after the {nbits} data bits"
         )
-    edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
-    return graph(n, edges)
+    top = 6 * nchars - 1  # pair k = v(v-1)/2 + u below is bit top - k
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return graph(n, [e for k, e in enumerate(pairs) if bits >> (top - k) & 1])
 
 
 def to_graph6(g: Graph) -> str:

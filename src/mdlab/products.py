@@ -10,7 +10,10 @@ factor values from md_oracle; that cartesian_md_coloring of the factors'
 md_exact certificates separates G box H with exactly the colors
 1..md(G) + md(H); and that the strong and lexicographic products have md 1.
 For each of the 117 connected tensor products of factors on 3-5 vertices with
-minimum degree >= 2 it confirms md(G x H) <= tensor_md_upper(G, H).
+minimum degree >= 2 it confirms md(G x H) < tensor_md_upper(G, H): the bound is
+never reached on any pair checked.  For odd p, (i, j) -> ((i+j)/2, (i-j)/2)
+mod p maps C_p x C_p onto C_p box C_p, so both have md p - 1 (pinned for
+p = 5, 7, 9).
 
 The lexicographic product G o H is connected whenever G is, even when H is
 not.  For every connected G on 2-4 vertices and H in {2K1, 3K1, K2+K1} the
@@ -102,7 +105,7 @@ def tensor_md_upper(g: Graph, h: Graph) -> int:
 
     Requires connected factors without pendent edges and at least one
     non-bipartite factor (otherwise the product is disconnected and both odd
-    girths are infinite).
+    girths are infinite).  No pair checked attains it (see the module docstring).
     """
     for name, x in (("first", g), ("second", h)):
         if not is_connected(x) or x.n < 2:

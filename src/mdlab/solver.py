@@ -243,31 +243,25 @@ def md_upper_bound(g: Graph, _table: _SepTable | None = None) -> tuple[int, str]
 
 
 def _soft_layer(g: Graph) -> tuple[int, ...]:
-    """Greedily strip vertices of current degree >= 2 that are not cut vertices.
+    """Strip, in one pass in id order, each vertex with at least two alive
+    neighbors whose removal leaves the alive set connected.
 
     g must be connected; md_upper_bound has checked that, or holds a block.
-    A vertex is eligible when it is alive, has at least two alive neighbors,
-    and the alive set without it stays connected.  Each round removes the
-    smallest eligible id and the stripped vertices are returned in that
-    order, so every prefix of the sequence is a valid layer.
+    The pass equals rescanning from vertex 0 after each strip, since a vertex
+    w ineligible once stays so: stripping only lowers degrees, and stripping
+    an eligible x cannot reconnect G[alive - w], as x alone in a component of
+    it would have w as its only alive neighbor.  So every prefix of the
+    sequence is a valid layer.
     """
     masks = neighbor_masks(g)
     alive = (1 << g.n) - 1
     removed: list[int] = []
-    while True:
-        for v in range(g.n):
-            bit = 1 << v
-            rest = alive ^ bit
-            if (
-                alive & bit
-                and (masks[v] & alive).bit_count() >= 2
-                and reach(masks, rest & -rest, rest) == rest
-            ):
-                removed.append(v)
-                alive ^= bit
-                break
-        else:
-            return tuple(removed)
+    for v in range(g.n):
+        rest = alive ^ (1 << v)
+        if (masks[v] & alive).bit_count() >= 2 and reach(masks, rest & -rest, rest) == rest:
+            removed.append(v)
+            alive = rest
+    return tuple(removed)
 
 
 def md_lower_bound(g: Graph) -> tuple[int, str]:
@@ -369,30 +363,27 @@ class _SepTable:
         stably sorted by the least position in each class's component (a
         self-separating class is a component of its own), so classes that
         can pair up sit together and a wrong pairing dies near the node that
-        made it; and the walk is rerun in that order, where a pair from two
-        components is known not to be an edge of P and is never tested.
+        made it; and the walk is rerun in that order.  The first walk tested
+        every pair from two components, so each such pair is a memo hit in
+        the second.
         """
         classes = self.classes
         order = sorted(range(len(classes)), key=lambda c: (-len(classes[c]), c))
-        pack, root = self._walk(order, None)
+        pack, root = self._walk(order)
         first: dict[int, int] = {}
         for i, c in enumerate(order):
             first.setdefault(root[c], i)
-        component = [first[r] for r in root]
-        grouped = sorted(order, key=component.__getitem__)
+        grouped = sorted(order, key=lambda c: first[root[c]])
         if grouped == order:
             return pack, order
-        pack, _ = self._walk(grouped, component)
+        pack, _ = self._walk(grouped)
         return pack, grouped
 
-    def _walk(
-        self, order: list[int], component: list[int] | None
-    ) -> tuple[list[int], list[int]]:
+    def _walk(self, order: list[int]) -> tuple[list[int], list[int]]:
         """pack for `order` and each class's union-find root, by class index.
 
         Walking the positions down with one union-find tests each class once
-        alone and each pair at most once; with `component` given, only pairs
-        of classes with equal labels are tested.
+        alone and each pair at most once, skipping pairs already joined.
         """
         t, n = len(order), self._n
         sep = self.sep
@@ -415,8 +406,6 @@ class _SepTable:
                 s += 1
             else:
                 for d in in_p:
-                    if component is not None and component[c] != component[d]:
-                        continue
                     rc, rd = find(c), find(d)
                     both = own[c] | own[d]
                     if rc != rd and sep((1 << c) | (1 << d)) & both == both:

@@ -213,6 +213,30 @@ def test_parallel_census_equals_serial(monkeypatch):
     assert len(serial) == CONNECTED_COUNTS[6]
 
 
+def test_serial_census_solves_each_graph_as_it_is_yielded(monkeypatch):
+    # No list of every graph comes first: the first solve runs while the
+    # enumeration still has graphs to yield.
+    yielded, at_first_solve = 0, []
+    enumerate_all, solve = extremal.enumerate_connected, extremal.solver.md_exact
+
+    def counting_enumeration(n):
+        nonlocal yielded
+        for g in enumerate_all(n):
+            yielded += 1
+            yield g
+
+    def counting_solve(g, **kwargs):
+        if not at_first_solve:
+            at_first_solve.append(yielded)
+        return solve(g, **kwargs)
+
+    monkeypatch.setattr(extremal, "_CENSUS_CACHE", {})
+    monkeypatch.setattr(extremal, "enumerate_connected", counting_enumeration)
+    monkeypatch.setattr(extremal.solver, "md_exact", counting_solve)
+    assert len(md_census(6)) == yielded == CONNECTED_COUNTS[6]
+    assert at_first_solve == [1]
+
+
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
 def test_census_refuses_bad_jobs_before_enumerating(jobs, monkeypatch):
     def enumerate_nothing(n):

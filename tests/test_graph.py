@@ -149,6 +149,7 @@ class TestGraph6:
             for p in (0, 0.1, 0.5, 1):
                 g = random_graph(n, p, rng)
                 assert to_graph6(g) == reference(g), (n, p)
+                assert from_graph6(to_graph6(g)) == g, (n, p)
 
     def test_encode_rejects_large(self):
         with pytest.raises(Graph6Error):
@@ -171,10 +172,18 @@ class TestGraph6:
             from_graph6("Dw" + "\x05")
 
     def test_decode_rejects_nonzero_padding(self):
-        # n=3 uses 3 of 6 bits; 'w' + 1 sets a padding bit.
-        bad = "B" + chr(ord("w") + 1)
-        with pytest.raises(Graph6Error, match="padding"):
-            from_graph6(bad)
+        # Each padding bit of the last character, set alone on the line of
+        # K_n (every data bit set), is refused at that character's offset.
+        for n in range(2, 13):
+            nbits = n * (n - 1) // 2
+            text = to_graph6(graph(n, combinations(range(n), 2)))
+            for bit in range(-nbits % 6):
+                bad = text[:-1] + chr((ord(text[-1]) - 63 | 1 << bit) + 63)
+                with pytest.raises(Graph6Error) as info:
+                    from_graph6(bad)
+                assert str(info.value) == (
+                    f"offset {nbits // 6 + 1}: nonzero padding bits after the {nbits} data bits"
+                ), (n, bit)
 
 
 class TestConnectivity:

@@ -138,7 +138,24 @@ def test_strong_and_lexicographic_md_is_one(g, h, kind):
 
 @pytest.mark.parametrize("g, h", TENSOR_PAIRS, ids=[pair_id(p) for p in TENSOR_PAIRS])
 def test_tensor_md_within_odd_girth_bound(g, h):
-    assert md_exact(product(g, h, ProductKind.TENSOR)).value <= tensor_md_upper(g, h)
+    # Strict: no pair of the sweep reaches the bound.
+    assert md_exact(product(g, h, ProductKind.TENSOR)).value < tensor_md_upper(g, h)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 9, 11])
+def test_odd_cycle_tensor_square_is_the_cartesian_square(p):
+    # (i, j) -> ((i+j)/2, (i-j)/2) mod p, where 1/2 is (p+1)/2 mod p, maps
+    # each tensor edge (i, j)(i+1, j+-1) onto a Cartesian edge.
+    cp, half = cycle_graph(p).graph, (p + 1) // 2
+
+    def image(x):
+        i, j = divmod(x, p)
+        return (i + j) * half % p * p + (i - j) * half % p
+
+    assert sorted(map(image, range(p * p))) == list(range(p * p))
+    tensor = product(cp, cp, ProductKind.TENSOR)
+    mapped = graph(p * p, [(image(a), image(b)) for a, b in tensor.edges])
+    assert mapped == product(cp, cp, ProductKind.CARTESIAN)
 
 
 @pytest.mark.parametrize(

@@ -317,7 +317,9 @@ class TestSoftLayer:
     def test_prefixes_are_valid_layers(self):
         # Recheck the definition against the original graph step by step: a
         # vertex is eligible when it is alive, has >= 2 alive neighbors, and
-        # the alive set without it stays connected.
+        # the alive set without it stays connected.  Each step must strip the
+        # smallest eligible vertex, as a rescan from vertex 0 would, on every
+        # connected graph on 3-7 vertices and random ones on 3-14.
         def connected(adj, vertex_set):
             if not vertex_set:
                 return True
@@ -335,8 +337,10 @@ class TestSoftLayer:
             return alive_nbrs >= 2 and connected(adj, alive - {v})
 
         rng = random.Random(77)
-        for _ in range(25):
-            g = random_connected(rng.randrange(3, 9), rng.uniform(0.3, 0.9), rng)
+        graphs = [g for n in range(3, 8) for g in enumerate_connected(n)]
+        graphs += [random_connected(rng.randrange(3, 15), rng.uniform(0.3, 0.9), rng) for _ in range(60)]
+        assert len(graphs) == 994 + 60
+        for g in graphs:
             alive = set(range(g.n))
             adj = g.adjacency
             for v in solver._soft_layer(g):
