@@ -155,6 +155,7 @@ def _least_code(adj: list[int]) -> tuple[int, list[int], list[list[int]]]:
             search(head + [(v,), tuple(w for w in cell if w != v)] + tail, [1 << v])
 
     search([tuple(range(k))], [(1 << k) - 1])
+    del search  # it holds itself through its closure; freed now, not by the collector
     code, least = min(leaves)
     others = [order for leaf_code, order in leaves if leaf_code == code and order != least]
     # Swapping twins a and b maps the least leaf to its order with a, b swapped.
@@ -280,6 +281,7 @@ def _enumerate(n: int) -> Iterator[Graph]:
             grow(child, k + 1, automorphisms)
 
     grow(0, 1, [])
+    del grow  # it holds itself and `forms` through its closure
     forms.sort()
     if any(a == b for a, b in zip(forms, forms[1:])):
         raise RuntimeError(f"a graph on {n} vertices was kept twice; this is an enumeration bug")

@@ -6,6 +6,14 @@ the same vertex count and the same edge tuple (canonical form).  All operations
 are pure functions returning fresh Graph values; instances are safe to share
 between workers.
 
+Held graphs share their pairs.  `graph()`, which from_graph6, the
+enumeration, the products and the family builders go through, takes each pair
+with both ends below 62 (the short-form graph6 range) from one table of shared
+tuples, so an equal pair is one object in all of those graphs.  The table
+fills as pairs are first seen and holds at most 62 * 61 / 2 = 1,891 entries; a
+pair with an end of 62 or more is a new tuple each time.  Graph is slotted, so
+a held graph is its two fields, and nothing can be cached on it.
+
 The block decomposition lives here beside is_connected because it is a
 connectivity query too: md adds over blocks, so the solver works block by
 block, and one depth-first search both checks connectivity and yields the
@@ -23,13 +31,16 @@ class Graph6Error(ValueError):
     """Raised for malformed or unsupported graph6 text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """A simple undirected graph in canonical form.
 
+    Slotted and frozen: an instance holds its two fields and no __dict__.
+
     Attributes:
         n: number of vertices (vertex ids are 0..n-1).
-        edges: sorted tuple of (u, v) pairs with u < v, duplicate-free.
+        edges: sorted tuple of (u, v) pairs with u < v, duplicate-free; built
+            by graph(), a pair with both ends below 62 is the shared tuple.
     """
 
     n: int
@@ -70,17 +81,32 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# (u, v) -> the shared tuple (u, v), for u < v < _SHARED_BELOW.
+_SHARED_BELOW = 62
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _shared(pair: tuple[int, int]) -> tuple[int, int]:
+    """The table's tuple equal to `pair` (u < v), or `pair` itself when an end
+    is 62 or more."""
+    got = _PAIRS.get(pair)
+    if got is None:
+        got = _PAIRS.setdefault(pair, pair) if pair[1] < _SHARED_BELOW else pair
+    return got
+
+
 def graph(n: int, edges) -> Graph:
     """Build a Graph from any iterable of pairs, canonicalizing order.
 
     Loops are rejected; duplicate and reversed pairs collapse to one edge.
+    Each pair with both ends below 62 is the one shared tuple for it.
     """
     canon = set()
     for u, v in edges:
         if u == v:
             raise ValueError(f"loop at vertex {u} not allowed")
         canon.add((u, v) if u < v else (v, u))
-    return Graph(n, tuple(sorted(canon)))
+    return Graph(n, tuple(map(_shared, sorted(canon))))
 
 
 def min_degree(g: Graph) -> int:
@@ -291,9 +317,14 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"offset {nbits // 6 + 1}: nonzero padding bits after the {nbits} data bits"
         )
-    top = 6 * nchars - 1  # pair k = v(v-1)/2 + u below is bit top - k
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    return graph(n, [e for k, e in enumerate(pairs) if bits >> (top - k) & 1])
+    edges = []
+    pos = 6 * nchars - 1  # the top bit is pair (0, 1), then column by column
+    for v in range(1, n):
+        for u in range(v):
+            if bits >> pos & 1:
+                edges.append((u, v))
+            pos -= 1
+    return graph(n, edges)
 
 
 def to_graph6(g: Graph) -> str:

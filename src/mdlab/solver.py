@@ -487,6 +487,7 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
         return False
 
     dfs(0, 0)
+    del dfs  # it holds itself through its closure; freed now, not by the collector
     return best
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from dataclasses import replace
@@ -254,14 +255,37 @@ def test_feasible_refuses_a_certificate_that_skips_a_color(monkeypatch):
 
 
 def test_solves_and_checks_keep_nothing_on_the_graph():
-    # adjacency and edge_index are built per read, so neither a solve of one
-    # block or of several nor a certificate check leaves a view on the graph.
+    # adjacency and edge_index are built per read, and Graph is slotted, so
+    # neither a solve of one block or of several nor a certificate check can
+    # leave a view on the graph.
     c5, pendant, c4 = cycle(5), graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]), cycle(4)
     assert md_exact(c5).value == 2
     assert md_exact(pendant).value == 3
     assert is_md_coloring(c4, EdgeColoring(c4, (1, 2, 2, 1)))[0]
     for g in (c5, pendant, c4):
-        assert set(vars(g)) == {"n", "edges"}, vars(g)
+        assert not hasattr(g, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: md_exact(product(cycle(5), cycle(5), ProductKind.CARTESIAN)),
+        lambda: md_exact(HUB_AND_C4),
+        lambda: list(enumerate_connected(5)),
+    ],
+    ids=["c5_box_c5", "hub_and_c4", "enumerate_5"],
+)
+def test_searches_leave_no_cycles_for_the_collector(call):
+    # The block search, the refinement search and the enumeration's growth
+    # drop their recursive closures on return, so reference counting frees
+    # each search's state (the block's table and memo, the leaves, the forms).
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestBounds:
