@@ -11,7 +11,9 @@ enumeration, the products and the family builders go through, takes each pair
 with both ends below 62 (the short-form graph6 range) from one table of shared
 tuples, so an equal pair is one object in all of those graphs.  The table
 fills as pairs are first seen and holds at most 62 * 61 / 2 = 1,891 entries; a
-pair with an end of 62 or more is a new tuple each time.  Graph is slotted, so
+pair with an end of 62 or more is a new tuple each time.  It stores only pairs
+of plain ints, so a caller's bools or numpy ints never become the pair that
+later graphs get, and a negative pair, which Graph rejects, is never stored.  Graph is slotted, so
 a held graph is its two fields, and nothing can be cached on it.
 
 The block decomposition lives here beside is_connected because it is a
@@ -39,8 +41,7 @@ class Graph:
 
     Attributes:
         n: number of vertices (vertex ids are 0..n-1).
-        edges: sorted tuple of (u, v) pairs with u < v, duplicate-free; built
-            by graph(), a pair with both ends below 62 is the shared tuple.
+        edges: sorted tuple of (u, v) pairs with u < v, duplicate-free.
     """
 
     n: int
@@ -81,17 +82,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# (u, v) -> the shared tuple (u, v), for u < v < _SHARED_BELOW.
-_SHARED_BELOW = 62
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def _shared(pair: tuple[int, int]) -> tuple[int, int]:
-    """The table's tuple equal to `pair` (u < v), or `pair` itself when an end
-    is 62 or more."""
     got = _PAIRS.get(pair)
     if got is None:
-        got = _PAIRS.setdefault(pair, pair) if pair[1] < _SHARED_BELOW else pair
+        u, v = pair
+        if type(u) is int and type(v) is int and 0 <= u < v < 62:
+            _PAIRS[pair] = pair
+        got = pair
     return got
 
 
@@ -317,14 +317,11 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"offset {nbits // 6 + 1}: nonzero padding bits after the {nbits} data bits"
         )
-    edges = []
-    pos = 6 * nchars - 1  # the top bit is pair (0, 1), then column by column
-    for v in range(1, n):
-        for u in range(v):
-            if bits >> pos & 1:
-                edges.append((u, v))
-            pos -= 1
-    return graph(n, edges)
+    top = 6 * nchars - 1  # edge (u, v) is bit top - v(v-1)/2 - u, as to_graph6 sets it
+    return graph(
+        n,
+        [(u, v) for v in range(1, n) for u in range(v) if bits >> (top - v * (v - 1) // 2 - u) & 1],
+    )
 
 
 def to_graph6(g: Graph) -> str:

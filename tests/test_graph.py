@@ -117,6 +117,17 @@ class TestSharedPairs:
         assert all(u < v < 62 for u, v in graph_module._PAIRS)
         assert graph(63, [(0, 62)]).edges[0] is not graph(63, [(0, 62)]).edges[0]
 
+    def test_table_takes_only_plain_ints_in_range(self, monkeypatch):
+        # A caller's odd pair is not the object later graphs get, and a pair
+        # that is rejected does not stay in the table.
+        monkeypatch.delitem(graph_module._PAIRS, (0, 1), raising=False)
+        graph(2, [(True, False)])
+        assert all(type(x) is int for x in graph(2, [(0, 1)]).edges[0])
+        for bad in ((-1, 1), (-5, 1)):
+            with pytest.raises(ValueError):
+                graph(2, [bad])
+            assert bad not in graph_module._PAIRS
+
     def test_held_graphs_cost_their_own_objects_only(self):
         # A held graph is its slotted Graph and its edge tuple; the pairs it
         # points at are shared.  A new tuple per pair and a __dict__ per Graph
