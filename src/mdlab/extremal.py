@@ -298,6 +298,10 @@ def _census_row(g: Graph) -> tuple[str, int, int]:
     return to_graph6(g), g.m, solver.md_exact(g).value
 
 
+def _census_rows(chunk: list[Graph]) -> list[tuple[str, int, int]]:
+    return [_census_row(g) for g in chunk]
+
+
 # Keyed by n <= ENUMERATION_CAP, so it holds at most one census per order.
 # The rows are a tuple, so a caller cannot change what later calls return.
 _CENSUS_CACHE: dict[int, tuple[tuple[str, int, int], ...]] = {}
@@ -309,7 +313,10 @@ def md_census(n: int, jobs: int = 1) -> tuple[tuple[str, int, int], ...]:
     The graphs are enumerate_connected(n), in its order, and the rows are
     cached per n.  _census_row maps each graph to its row as the enumeration
     yields it, on md_exact's default node budget: in this process for
-    jobs = 1, and for jobs > 1 by that many workers, which receive Graphs.
+    jobs = 1, and for jobs > 1 by that many workers, which receive Graphs in
+    chunks of 32.  At most 2 * jobs chunks are in flight, and the oldest
+    one's rows are taken before the next is drawn, so a parallel census
+    streams the enumeration too and keeps its rows in enumeration order.
     """
     if type(jobs) is not int or jobs < 1:  # bools refused too
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
@@ -320,9 +327,18 @@ def md_census(n: int, jobs: int = 1) -> tuple[tuple[str, int, int], ...]:
         # Imported here so that importing this module, and every serial
         # census, skips loading concurrent.futures and multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
+        from itertools import islice
 
+        done: list[tuple[str, int, int]] = []
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = tuple(ex.map(_census_row, graphs, chunksize=32))
+            pending = []
+            while chunk := list(islice(graphs, 32)):
+                if len(pending) == 2 * jobs:
+                    done += pending.pop(0).result()
+                pending.append(ex.submit(_census_rows, chunk))
+            for future in pending:
+                done += future.result()
+        rows = tuple(done)
     else:
         rows = tuple(map(_census_row, graphs))
     _CENSUS_CACHE[n] = rows

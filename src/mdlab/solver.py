@@ -44,7 +44,12 @@ S, and A_j the classes of color j, a node is dead iff
 OR_{j < opened} sep(A_j | U) misses a pair: no completion can then split
 that pair.  sep is memoized once per block, keyed by class bitmask, and
 shared by the packing walks and every branch of the search, so a node costs
-at most one table lookup per opened color.
+at most one table lookup per opened color.  The walks fill their single and
+pair keys by BFS.  The search fills every key it misses from the key's
+parent, the same set plus one class, joining the components that class's
+edges span: each key it tests is a superset of a suffix of the order, so
+adding back the missing classes from the highest position down reaches a
+memoized key, or rests[0], every class deleted, whose sep is every pair.
 
 The search cuts a node when its open colors plus pack[i] cannot beat the best
 leaf, where pack[i] bounds the colors that the suffix U alone can make: every
@@ -295,15 +300,17 @@ class _SepTable:
     `classes` is mono_classes(g) as returned, never reordered, and class c is
     bit c of every key; the search order is packing()'s to return.  Each
     class also keeps its incidences, (vertex, neighbour bits) per vertex it
-    touches, so a memo miss ORs them into an adjacency without walking edge
-    tuples."""
+    touches, so a miss of sep ORs them into an adjacency without walking
+    edge tuples.  sep's BFS fills the packing walks' keys; _search writes
+    the keys it misses into the same memo, each derived from its parent
+    key, so once packing() returns no mask is computed by BFS."""
 
     __slots__ = ("classes", "full", "_n", "_inc", "_memo")
 
     def __init__(self, g: Graph):
         self.classes = mono_classes(g)
         n = self._n = g.n
-        self.full = ((1 << (n * n)) - 1) ^ sum(1 << (u * n + u) for u in range(n))
+        self.full = ((1 << n * n) - 1) ^ ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
         self._inc: list[tuple[tuple[int, int], ...]] | None = None
         self._memo: dict[int, int] = {}
 
@@ -448,6 +455,17 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
     on the cut.  Since pack[0] bounds every separating coloring, the color
     count is capped at min(upper, pack[0]), and a leaf reaching the cap ends
     the search.
+
+    A key missing from the memo, members[j] | rests[i + 1], is derived, not
+    searched: its parent adds the class at the highest position it lacks,
+    so for j other than the color the class at position i takes, it is
+    members[j] | rests[i], looked up one node higher.  The walk up stops at
+    the first memoized key, rests[0] (sep = full) at the latest, and the way
+    back down adds one class at a time to J, the joined pairs full & ~sep.
+    u's component is row u of J, (J >> n*u) & row | 1 << u, its spread is
+    column u, (J >> u) & col0 | 1 << n*u, with col0 the bits n*x, and an
+    edge uv of the class with u, v apart joins the two components by
+    J |= cv * su | cu * sv, one product per direction as in sep.
     """
     pack, order = table.packing()
     t = len(order)
@@ -455,12 +473,33 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
     rests = [0] * (t + 1)
     for i in range(t - 1, -1, -1):
         rests[i] = rests[i + 1] | bits[i]
-    sep, full = table.sep, table.full
+    full, classes, n = table.full, table.classes, table._n
+    memo = table._memo
+    memo[rests[0]] = full
+    row, col0 = (1 << n) - 1, ((1 << n * n) - 1) // ((1 << n) - 1)
     upper = min(upper, pack[0])
     members = [0] * upper
     color_of_class = [0] * t
     best: list[int] = []
     best_opened = 0
+
+    def derive(key: int, i: int) -> int:
+        # sep(key) for a key holding rests[i + 1], derived as the docstring says
+        chain = []
+        while key not in memo:
+            while key & bits[i]:
+                i -= 1
+            chain.append((key, order[i]))
+            key |= bits[i]
+        joined = full ^ memo[key]
+        for key, c in reversed(chain):
+            for u, v in classes[c]:
+                if not joined >> n * u + v & 1:
+                    cu, cv = joined >> n * u & row | 1 << u, joined >> n * v & row | 1 << v
+                    su, sv = joined >> u & col0 | 1 << n * u, joined >> v & col0 | 1 << n * v
+                    joined |= cv * su | cu * sv
+            memo[key] = full ^ joined
+        return full ^ joined
 
     def dfs(i: int, opened: int) -> bool:
         nonlocal best, best_opened
@@ -476,7 +515,8 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
             new_opened = max(opened, color + 1)
             covered = 0
             for j in range(new_opened):
-                covered |= sep(members[j] | rest)
+                mask = memo.get(key := members[j] | rest)
+                covered |= derive(key, i) if mask is None else mask
                 if covered == full:
                     break
             if covered == full:

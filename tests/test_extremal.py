@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import os
 import random
@@ -211,6 +212,58 @@ def test_parallel_census_equals_serial(monkeypatch):
     monkeypatch.setattr(extremal, "_CENSUS_CACHE", {})
     assert md_census(6, jobs=2) == serial
     assert len(serial) == CONNECTED_COUNTS[6]
+
+
+def test_parallel_census_keeps_few_graphs_in_flight(monkeypatch):
+    # A pool that runs each task when its result is read, in this process,
+    # shows how far the census draws ahead of the rows it has taken back: a
+    # pool that takes the whole enumeration before the first row fails.
+    yielded, taken, ahead = 0, 0, []
+    enumerate_all = extremal.enumerate_connected
+
+    def counting_enumeration(n):
+        nonlocal yielded
+        for g in enumerate_all(n):
+            yielded += 1
+            yield g
+
+    class Deferred:
+        def __init__(self, fn, args):
+            self.fn, self.args = fn, args
+
+        def result(self):
+            nonlocal taken
+            ahead.append(yielded - taken)
+            out = self.fn(*self.args)
+            taken += len(out) if isinstance(out, list) else 1
+            return out
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return Deferred(fn, args)
+
+        def map(self, fn, iterable, chunksize=1):
+            futures = [Deferred(fn, (x,)) for x in iterable]
+            return (f.result() for f in futures)
+
+    monkeypatch.setattr(extremal, "_CENSUS_CACHE", {})
+    monkeypatch.setattr(extremal, "enumerate_connected", counting_enumeration)
+    monkeypatch.setattr(extremal, "_census_row", lambda g: (to_graph6(g), g.m, 0))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    rows = md_census(7, jobs=2)
+    assert rows == tuple((to_graph6(g), g.m, 0) for g in enumerate_all(7))
+    assert yielded == taken == CONNECTED_COUNTS[7]
+    # 2 * jobs chunks of 32 in flight, and the one drawn next.
+    assert max(ahead) <= (2 * 2 + 1) * 32, max(ahead)
 
 
 def test_serial_census_solves_each_graph_as_it_is_yielded(monkeypatch):

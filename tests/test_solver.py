@@ -434,6 +434,12 @@ def the_three_products():
             product(cycle(5), cycle(5), ProductKind.TENSOR)]
 
 
+def larger_products():
+    """C7 x C7 and C8 box C8: searches of 57 and 204 nodes."""
+    return [product(cycle(7), cycle(7), ProductKind.TENSOR),
+            product(cycle(8), cycle(8), ProductKind.CARTESIAN)]
+
+
 def pair_mask_by_components(g, classes, deleted):
     """Bit u*n + v for every ordered pair u != v that deleting the classes in
     `deleted` puts in different components, from a plain union-find."""
@@ -455,10 +461,11 @@ def pair_mask_by_components(g, classes, deleted):
 class TestSepTable:
     def test_memo_after_search_equals_a_fresh_table(self):
         # Every entry left by the packing walks and the search equals sep
-        # computed afresh; the classes stay in mono_classes order throughout,
-        # even on the blocks whose search order regroups them.
+        # computed afresh, the search's derived ones too, long chains of
+        # classes added back included; the classes stay in mono_classes order
+        # throughout, even on the blocks whose search order regroups them.
         regrouped = 0
-        for g in list(census_blocks()) + the_three_products():
+        for g in list(census_blocks()) + the_three_products() + larger_products() + [HUB_AND_C4]:
             table = solver._SepTable(g)
             solver._search(table, g.n // 2, solver._Budget(solver.NODE_BUDGET))
             assert table.classes == mono_classes(g), g.edges
@@ -469,6 +476,31 @@ class TestSepTable:
             for key, mask in table._memo.items():
                 assert fresh.sep(key) == mask, (g.edges, key)
         assert regrouped > 0
+
+    def test_search_computes_no_mask_by_bfs(self, monkeypatch):
+        # Once packing() returns, every key the search misses is derived from
+        # a memoized superset, so the table's own sep runs no BFS; the memo
+        # still grows during the search, so the derivation does run.
+        packed, bfs = {}, []
+        packing, sep = solver._SepTable.packing, solver._SepTable.sep
+
+        def spying_packing(table):
+            out = packing(table)
+            packed[table] = len(table._memo)
+            return out
+
+        def spying_sep(table, deleted):
+            if table in packed and deleted not in table._memo:
+                bfs.append(deleted)
+            return sep(table, deleted)
+
+        monkeypatch.setattr(solver._SepTable, "packing", spying_packing)
+        monkeypatch.setattr(solver._SepTable, "sep", spying_sep)
+        for g in list(census_blocks()) + the_three_products() + [HUB_AND_C4]:
+            md_exact(g)
+        assert bfs == []
+        grown = [len(table._memo) - size for table, size in packed.items()]
+        assert len(grown) > 100 and sum(grown) > 2 * len(grown), grown
 
     def test_sep_equals_plain_components_on_every_subset(self):
         blocks = [g for g in census_blocks() if len(solver._SepTable(g).classes) <= 10]
