@@ -15,6 +15,11 @@ never reached on any pair checked.  For odd p, (i, j) -> ((i+j)/2, (i-j)/2)
 mod p maps C_p x C_p onto C_p box C_p, so both have md p - 1 (pinned for
 p = 5, 7, 9).
 
+Two sweeps over cycles: md(C_p box C_q) = floor(p/2) + floor(q/2) for every
+3 <= p <= q <= 10, and md(C_p x C_q) = 1 for every connected C_p x C_q with
+3 <= p < q <= 9, that is, every such pair but the three with p and q both
+even, whose product is disconnected.
+
 The lexicographic product G o H is connected whenever G is, even when H is
 not.  For every connected G on 2-4 vertices and H in {2K1, 3K1, K2+K1} the
 tests find md(G o H) = 1, except K2 o 2K1, which is the 4-cycle C4 with md 2.

@@ -43,13 +43,16 @@ it.  With sep(S) the mask of vertex pairs split by deleting every class in
 S, and A_j the classes of color j, a node is dead iff
 OR_{j < opened} sep(A_j | U) misses a pair: no completion can then split
 that pair.  sep is memoized once per block, keyed by class bitmask, and
-shared by the packing walks and every branch of the search, so a node costs
-at most one table lookup per opened color.  The walks fill their single and
-pair keys by BFS.  The search fills every key it misses from the key's
-parent, the same set plus one class, joining the components that class's
-edges span: each key it tests is a superset of a suffix of the order, so
+shared by every branch of the search, so a node costs at most one table
+lookup per opened color.  The memo starts with rests[0], every class
+deleted, whose sep is every pair; each other key is derived from its parent,
+the same set plus one class, by joining the components that class's edges
+span.  Each key the search tests is a superset of a suffix of the order, so
 adding back the missing classes from the highest position down reaches a
-memoized key, or rests[0], every class deleted, whose sep is every pair.
+memoized key.  The packing walks ask only whether one or two classes are
+self-separating, which a search from one end of each deleted edge answers
+on neighbour masks, stopping at the other end; their verdicts are booleans
+kept apart from the memo.
 
 The search cuts a node when its open colors plus pack[i] cannot beat the best
 leaf, where pack[i] bounds the colors that the suffix U alone can make: every
@@ -292,70 +295,55 @@ def md_lower_bound(g: Graph) -> tuple[int, str]:
 
 
 class _SepTable:
-    """One block's mono classes and its memo from a class bitmask S to
-    sep(S), with pair (u, v) at bit u*n + v; `full` holds every pair with
-    u != v.  Built once per block of three or more vertices and hit across
-    the packing walks and the branches of its one search.
+    """One block's mono classes and its search's memo from a class bitmask S
+    to sep(S), with pair (u, v) at bit u*n + v.  Built once per block of
+    three or more vertices; only a block whose upper bound exceeds 1 is
+    searched, so only such a block builds neighbour masks, `full` (every
+    pair with u != v) or a memo entry.  `classes` is mono_classes(g) as
+    returned, never reordered, and class c is bit c of every key."""
 
-    `classes` is mono_classes(g) as returned, never reordered, and class c is
-    bit c of every key; the search order is packing()'s to return.  Each
-    class also keeps its incidences, (vertex, neighbour bits) per vertex it
-    touches, so a miss of sep ORs them into an adjacency without walking
-    edge tuples.  sep's BFS fills the packing walks' keys; _search writes
-    the keys it misses into the same memo, each derived from its parent
-    key, so once packing() returns no mask is computed by BFS."""
-
-    __slots__ = ("classes", "full", "_n", "_inc", "_memo")
+    __slots__ = ("classes", "full", "_g", "_order", "_memo")
 
     def __init__(self, g: Graph):
         self.classes = mono_classes(g)
-        n = self._n = g.n
-        self.full = ((1 << n * n) - 1) ^ ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
-        self._inc: list[tuple[tuple[int, int], ...]] | None = None
+        self._g = g
         self._memo: dict[int, int] = {}
 
-    def sep(self, deleted: int) -> int:
-        """Pairs split by deleting the classes in `deleted`.  A miss runs one
-        BFS per component C and adds C's block of joined pairs as the single
-        product comp * spread, spread = sum of 1 << (n*x) over x in C: comp <
-        2^n and the bits of spread lie n apart, so no carry crosses a block
-        and the product is sum of comp << (n*x)."""
-        mask = self._memo.get(deleted)
-        if mask is not None:
-            return mask
-        n = self._n
-        if self._inc is None:
-            self._inc = [_incidences(cls) for cls in self.classes]
-        adj = [0] * n
-        for ci, inc in enumerate(self._inc):
-            if not (deleted >> ci) & 1:
-                for x, bits in inc:
-                    adj[x] |= bits
-        joined = 0
-        todo = (1 << n) - 1
-        while todo:
-            comp = frontier = todo & -todo
-            spread = 0
-            while frontier:
-                nxt = 0
-                while frontier:
-                    bit = frontier & -frontier
-                    frontier ^= bit
-                    x = bit.bit_length() - 1
-                    nxt |= adj[x]
-                    spread |= 1 << (n * x)
-                frontier = nxt & ~comp
-                comp |= frontier
-            todo &= ~comp
-            joined |= comp * spread
-        mask = self._memo[deleted] = self.full & ~joined
-        return mask
+    def sep(self, key: int) -> int:
+        """Pairs split by deleting the classes in `key`, once _search has
+        seeded the memo.  A missing key is derived from its parent, the key
+        plus the class at the highest position of the search order it lacks,
+        up to the first memoized key; the way back down adds one class at a
+        time to J, the joined pairs full & ~sep.  u's component is row u of
+        J, (J >> n*u) & row | 1 << u, its spread is column u,
+        (J >> u) & col0 | 1 << n*u, with col0 the bits n*x, and an edge uv of
+        the class with u, v apart joins the two components by
+        J |= cv * su | cu * sv; a component is < 2^n and a spread's bits lie
+        n apart, so no carry crosses a row."""
+        memo, order, classes, n, full = self._memo, self._order, self.classes, self._g.n, self.full
+        chain = []
+        i = len(order) - 1
+        while key not in memo:
+            while key >> order[i] & 1:
+                i -= 1
+            chain.append((key, order[i]))
+            key |= 1 << order[i]
+        joined = full ^ memo[key]
+        row, col0 = (1 << n) - 1, ((1 << n * n) - 1) // ((1 << n) - 1)
+        for key, c in reversed(chain):
+            for u, v in classes[c]:
+                if not joined >> n * u + v & 1:
+                    cu, cv = joined >> n * u & row | 1 << u, joined >> n * v & row | 1 << v
+                    su, sv = joined >> u & col0 | 1 << n * u, joined >> v & col0 | 1 << n * v
+                    joined |= cv * su | cu * sv
+            memo[key] = full ^ joined
+        return full ^ joined
 
     def packing(self) -> tuple[list[int], list[int]]:
         """The search order, a list of class indices, and pack, where pack[i]
         bounds the colors a separating coloring can make of the classes at
         positions i..t-1 of that order alone; pack[t] = 0.  Changes nothing
-        in the table but the memo.
+        in the table.
 
         Every color is self-separating: deleting it splits the ends of each of
         its edges.  Of the suffix U, s classes are self-separating alone; the
@@ -370,31 +358,42 @@ class _SepTable:
         stably sorted by the least position in each class's component (a
         self-separating class is a component of its own), so classes that
         can pair up sit together and a wrong pairing dies near the node that
-        made it; and the walk is rerun in that order.  The first walk tested
-        every pair from two components, so each such pair is a memo hit in
-        the second.
+        made it; and the walk is rerun in that order.  Both walks share one
+        dict of verdicts keyed by class mask, and the first tested every
+        pair from two components, so each such pair is a hit in the second.
         """
         classes = self.classes
+        nbrs = neighbor_masks(self._g)
+        verdicts: dict[int, bool] = {}
+
+        def splits(c: int, d: int) -> bool:
+            # Self-separation of classes c and d together (c == d: c alone).
+            key = 1 << c | 1 << d
+            verdict = verdicts.get(key)
+            if verdict is None:
+                cut = classes[c] if c == d else classes[c] + classes[d]
+                verdict = verdicts[key] = _self_separating(nbrs, cut)
+            return verdict
+
         order = sorted(range(len(classes)), key=lambda c: (-len(classes[c]), c))
-        pack, root = self._walk(order)
+        pack, root = self._walk(order, splits)
         first: dict[int, int] = {}
         for i, c in enumerate(order):
             first.setdefault(root[c], i)
         grouped = sorted(order, key=lambda c: first[root[c]])
         if grouped == order:
             return pack, order
-        pack, _ = self._walk(grouped)
+        pack, _ = self._walk(grouped, splits)
         return pack, grouped
 
-    def _walk(self, order: list[int]) -> tuple[list[int], list[int]]:
+    @staticmethod
+    def _walk(order: list[int], splits) -> tuple[list[int], list[int]]:
         """pack for `order` and each class's union-find root, by class index.
 
-        Walking the positions down with one union-find tests each class once
-        alone and each pair at most once, skipping pairs already joined.
-        """
-        t, n = len(order), self._n
-        sep = self.sep
-        own = [sum(1 << (u * n + v) for u, v in cls) for cls in self.classes]
+        Walking the positions down with one union-find asks splits(c, c),
+        whether class c is self-separating, once per class, and splits(c, d)
+        at most once per pair, skipping pairs already joined."""
+        t = len(order)
         parent = list(range(t))
         size = [1] * t
 
@@ -409,13 +408,12 @@ class _SepTable:
         s = b = 0
         for i in range(t - 1, -1, -1):
             c = order[i]
-            if sep(1 << c) & own[c] == own[c]:
+            if splits(c, c):
                 s += 1
             else:
                 for d in in_p:
                     rc, rd = find(c), find(d)
-                    both = own[c] | own[d]
-                    if rc != rd and sep((1 << c) | (1 << d)) & both == both:
+                    if rc != rd and splits(c, d):
                         b += (size[rc] + size[rd]) // 2 - size[rc] // 2 - size[rd] // 2
                         parent[rd] = rc
                         size[rc] += size[rd]
@@ -424,13 +422,36 @@ class _SepTable:
         return pack, [find(c) for c in range(t)]
 
 
-def _incidences(cls: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """(x, OR of 1 << y over the class's edges xy) for each vertex x of the class."""
-    bits: dict[int, int] = {}
-    for u, v in cls:
-        bits[u] = bits.get(u, 0) | 1 << v
-        bits[v] = bits.get(v, 0) | 1 << u
-    return tuple(bits.items())
+def _self_separating(nbrs: list[int], cut: tuple[tuple[int, int], ...]) -> bool:
+    """Whether deleting the edges `cut` from the graph with neighbour bitmasks
+    `nbrs` puts the ends of each of them in different components.  For each
+    edge uv, a search from u expands one frontier at a time and stops as
+    soon as it reaches v; a component searched to the end is kept for the
+    later edges."""
+    adj = nbrs[:]
+    for u, v in cut:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    done: list[int] = []
+    for u, v in cut:
+        ub, vb = 1 << u, 1 << v
+        for comp in done:
+            if comp & ub:
+                break
+        else:
+            comp = frontier = ub
+            while frontier and not comp & vb:
+                nxt = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    nxt |= adj[bit.bit_length() - 1]
+                frontier = nxt & ~comp
+                comp |= frontier
+            done.append(comp)
+        if comp & vb:
+            return False
+    return True
 
 
 def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
@@ -456,50 +477,25 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
     count is capped at min(upper, pack[0]), and a leaf reaching the cap ends
     the search.
 
-    A key missing from the memo, members[j] | rests[i + 1], is derived, not
-    searched: its parent adds the class at the highest position it lacks,
-    so for j other than the color the class at position i takes, it is
-    members[j] | rests[i], looked up one node higher.  The walk up stops at
-    the first memoized key, rests[0] (sep = full) at the latest, and the way
-    back down adds one class at a time to J, the joined pairs full & ~sep.
-    u's component is row u of J, (J >> n*u) & row | 1 << u, its spread is
-    column u, (J >> u) & col0 | 1 << n*u, with col0 the bits n*x, and an
-    edge uv of the class with u, v apart joins the two components by
-    J |= cv * su | cu * sv, one product per direction as in sep.
+    A key missing from the memo, members[j] | rests[i + 1], goes to
+    table.sep; for j other than the color of the class at position i, its
+    parent members[j] | rests[i] was looked up one node higher.
     """
     pack, order = table.packing()
-    t = len(order)
+    t, n = len(order), table._g.n
     bits = [1 << c for c in order]
     rests = [0] * (t + 1)
     for i in range(t - 1, -1, -1):
         rests[i] = rests[i + 1] | bits[i]
-    full, classes, n = table.full, table.classes, table._n
-    memo = table._memo
+    full = ((1 << n * n) - 1) ^ ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
+    table._order, table.full = order, full
+    memo, sep = table._memo, table.sep
     memo[rests[0]] = full
-    row, col0 = (1 << n) - 1, ((1 << n * n) - 1) // ((1 << n) - 1)
     upper = min(upper, pack[0])
     members = [0] * upper
     color_of_class = [0] * t
     best: list[int] = []
     best_opened = 0
-
-    def derive(key: int, i: int) -> int:
-        # sep(key) for a key holding rests[i + 1], derived as the docstring says
-        chain = []
-        while key not in memo:
-            while key & bits[i]:
-                i -= 1
-            chain.append((key, order[i]))
-            key |= bits[i]
-        joined = full ^ memo[key]
-        for key, c in reversed(chain):
-            for u, v in classes[c]:
-                if not joined >> n * u + v & 1:
-                    cu, cv = joined >> n * u & row | 1 << u, joined >> n * v & row | 1 << v
-                    su, sv = joined >> u & col0 | 1 << n * u, joined >> v & col0 | 1 << n * v
-                    joined |= cv * su | cu * sv
-            memo[key] = full ^ joined
-        return full ^ joined
 
     def dfs(i: int, opened: int) -> bool:
         nonlocal best, best_opened
@@ -516,7 +512,7 @@ def _search(table: _SepTable, upper: int, budget: _Budget) -> list[int]:
             covered = 0
             for j in range(new_opened):
                 mask = memo.get(key := members[j] | rest)
-                covered |= derive(key, i) if mask is None else mask
+                covered |= sep(key) if mask is None else mask
                 if covered == full:
                     break
             if covered == full:

